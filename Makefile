@@ -5,7 +5,7 @@ DUNE ?= dune
 
 .PHONY: check build test smoke resilience-smoke bench-smoke bench-scaling \
 	serve-smoke bench-serve attn-smoke bench-attn plan-smoke bench-plan \
-	compile-smoke bench-compile clean
+	compile-smoke bench-compile loc clean
 
 check: build test smoke resilience-smoke bench-smoke serve-smoke attn-smoke \
 	plan-smoke compile-smoke
@@ -93,6 +93,11 @@ compile-smoke:
 # regenerates BENCH_pr10.json.
 bench-compile:
 	$(DUNE) exec bench/main.exe -- compile-json
+
+# Net library size, a reported ROADMAP metric: total .ml + .mli lines
+# under lib/.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(DUNE) clean

@@ -42,7 +42,7 @@ let planned_parity ~fast program inputs =
   let env_ref =
     Fastmode.with_mode fast (fun () -> Ops.Program.run program inputs)
   in
-  let mp = Ops.Memplan.for_program program in
+  let mp = Ops.Memplan.plan program in
   let env_pl =
     Fastmode.with_mode fast (fun () -> Ops.Memplan.execute mp inputs)
   in

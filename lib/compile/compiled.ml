@@ -133,9 +133,9 @@ let execute ?check_op ?wrap_op (plan : plan) inputs =
   in
   let go () =
     match plan.memplan with
-    | Some mp when Ops.Memplan.enabled () ->
+    | Some mp ->
         Ops.Memplan.execute ?check_op ~wrap_op:wrap mp inputs
-    | _ ->
+    | None ->
         let env = Ops.Op.env_of_list inputs in
         List.iter
           (fun (op : Ops.Op.t) ->
@@ -320,7 +320,6 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
         if not (pass.p_enabled ctx) then (p, trace, stages)
         else begin
           ctx.Pass.note <- "";
-          ctx.Pass.peak_override <- None;
           let before = List.length p.Ops.Program.ops in
           let t0 = Pool.now () in
           let p' = pass.p_rewrite ctx p in
@@ -332,8 +331,9 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
               st_ops_before = before;
               st_ops_after = List.length p'.Ops.Program.ops;
               st_peak_floats =
-                (match ctx.Pass.peak_override with
-                | Some n -> n
+                (* once planned, every later pass runs under that plan *)
+                (match ctx.Pass.memplan with
+                | Some mp -> (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats
                 | None -> Pass.naive_peak_floats p');
               st_elapsed = elapsed;
               st_note = ctx.Pass.note;

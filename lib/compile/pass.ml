@@ -19,9 +19,9 @@ type stat = {
   st_pass : string;
   st_ops_before : int;
   st_ops_after : int;
-  st_peak_floats : int;  (* allocate-everything resident set after the pass
-                            (the memory-planning pass reports its planned
-                            peak instead) *)
+  st_peak_floats : int;  (* resident set after the pass: allocate-everything
+                            until the memory-planning pass has run, its
+                            planned peak from then on *)
   st_elapsed : float;  (* seconds spent in the rewrite *)
   st_note : string;  (* pass-specific: windows found, bindings bound, ... *)
 }
@@ -37,8 +37,6 @@ type ctx = {
   mutable memplan : Ops.Memplan.t option;
   mutable prepack : string list;  (* containers to register prepacked *)
   mutable note : string;  (* the running pass's [st_note] *)
-  mutable peak_override : int option;  (* the running pass's peak, if it
-                                          knows better than the naive sum *)
 }
 
 let make_ctx ?device ?db ?(name_table = []) ?(params = []) regime =
@@ -53,7 +51,6 @@ let make_ctx ?device ?db ?(name_table = []) ?(params = []) regime =
     memplan = None;
     prepack = [];
     note = "";
-    peak_override = None;
   }
 
 type t = {

@@ -17,8 +17,8 @@ type stat = {
   st_ops_before : int;
   st_ops_after : int;
   st_peak_floats : int;
-      (** allocate-everything resident set after the pass; the
-          memory-planning pass reports its planned peak instead *)
+      (** resident set after the pass: allocate-everything until the
+          memory-planning pass has run, its planned peak from then on *)
   st_elapsed : float;  (** seconds spent in the rewrite *)
   st_note : string;
 }
@@ -34,7 +34,6 @@ type ctx = {
   mutable memplan : Ops.Memplan.t option;
   mutable prepack : string list;
   mutable note : string;
-  mutable peak_override : int option;
 }
 
 val make_ctx :

@@ -350,14 +350,12 @@ let memory_plan =
     p_enabled =
       (fun ctx ->
         ctx.Pass.regime.Regime.plan_memory
-        && (not ctx.Pass.regime.Regime.retain_all)
-        && Ops.Memplan.enabled ());
+        && not ctx.Pass.regime.Regime.retain_all);
     p_rewrite =
       (fun ctx p ->
         let mp = Ops.Memplan.plan ~keep:ctx.Pass.regime.Regime.keep p in
         let st = Ops.Memplan.stats mp in
         ctx.Pass.memplan <- Some mp;
-        ctx.Pass.peak_override <- Some st.Ops.Memplan.plan_peak_floats;
         ctx.Pass.note <-
           Printf.sprintf
             "%d slot(s), peak %d -> %d floats, %d in-place, %d aliased"

@@ -19,7 +19,9 @@ type t = {
   retain_all : bool;  (* keep every intermediate materialized *)
 }
 
-(* The full pipeline under the ambient execution environment. *)
+(* The full pipeline under the ambient execution environment.
+   SUBSTATION_NOPLAN=1 only sets [plan_memory]'s default here and in
+   [planned]; the memory-plan pass and the executor read the regime. *)
 let current ?(attention = true) ?(fuse = true) ?(keep = []) () =
   {
     fast = Fastmode.enabled ();
@@ -29,7 +31,7 @@ let current ?(attention = true) ?(fuse = true) ?(keep = []) () =
     fuse;
     dce = true;
     tune = true;
-    plan_memory = Ops.Memplan.enabled ();
+    plan_memory = not (Substation_env.noplan ());
     prepack = true;
     keep;
     retain_all = false;
@@ -58,7 +60,7 @@ let passthrough ?fast ?(keep = []) () =
 let planned ?fast ?(keep = []) () =
   {
     (passthrough ?fast ~keep ()) with
-    plan_memory = Ops.Memplan.enabled ();
+    plan_memory = not (Substation_env.noplan ());
     retain_all = false;
   }
 

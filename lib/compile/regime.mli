@@ -20,7 +20,7 @@ type t = {
 
 (** The full pipeline (attention windowing, fusion, DCE, tuning, memory
     planning, prepack) under the ambient fastmode / domains / guard
-    settings. *)
+    settings. [plan_memory] defaults to [not SUBSTATION_NOPLAN]. *)
 val current : ?attention:bool -> ?fuse:bool -> ?keep:string list -> unit -> t
 
 (** No rewriting: the program executes op-for-op as written with every
@@ -31,7 +31,8 @@ val passthrough : ?fast:bool -> ?keep:string list -> unit -> t
 
 (** {!passthrough} plus static memory planning (run_planned's regime);
     dead intermediates recycle slots, so only [keep] + terminal outputs
-    survive in the returned environment. *)
+    survive in the returned environment. [plan_memory] defaults to
+    [not SUBSTATION_NOPLAN], as in {!current}. *)
 val planned : ?fast:bool -> ?keep:string list -> unit -> t
 
 (** Canonical cache-key rendering. *)

@@ -111,8 +111,8 @@ val run_functional :
     (in-place / aliased where legal) instead of allocating fresh.
     [keep] names intermediate containers the caller reads from the
     returned environment (terminal outputs are always kept). Degrades
-    to the unplanned interpreter when planning is disabled
-    ([SUBSTATION_NOPLAN=1]). *)
+    to the unplanned interpreter when {!Compile.Regime.planned} leaves
+    [plan_memory] off (its default under [SUBSTATION_NOPLAN=1]). *)
 val run_planned :
   ?check:numeric_check ->
   ?fast:bool ->

@@ -400,7 +400,14 @@ let run_red env (op : Op.t) = function
 (* Element-wise chains                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type chain_stage = { cs_op : Op.t; cs_sem : Op.elt_sem; cs_store : bool }
+type chain_stage = {
+  cs_op : Op.t;
+  cs_sem : Op.elt_sem;
+  cs_store : bool;
+  cs_into : float array option;
+      (* destination for the stored output; a fresh tensor when [None] or
+         when its length disagrees with the chain volume *)
+}
 
 type step =
   | Chain of chain_stage list
@@ -479,7 +486,12 @@ let run_chain env (stages : chain_stage list) =
       in
       let rt_out =
         if st.cs_store then begin
-          let out = Dense.zeros (Shape.to_list (Dense.shape x0)) in
+          let shape = Shape.to_list (Dense.shape x0) in
+          let out =
+            match st.cs_into with
+            | Some buf when Array.length buf = total -> Dense.of_buffer shape buf
+            | _ -> Dense.zeros shape
+          in
           Op.store env sem.Op.e_out out;
           Dense.unsafe_data out
         end
@@ -560,6 +572,9 @@ let run_chain env (stages : chain_stage list) =
     else run_range 0 total
   end
 
+let run_elt ?into env op sem =
+  run_chain env [ { cs_op = op; cs_sem = sem; cs_store = true; cs_into = into } ]
+
 (* ------------------------------------------------------------------ *)
 (* Group compilation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -626,7 +641,12 @@ let compile_group ~external_writes (members : Op.t list) =
           | Op.Red r -> Red (m, r) :: acc
           | Op.Elt e ->
               let stage =
-                { cs_op = m; cs_sem = e; cs_store = alive i e.Op.e_out }
+                {
+                  cs_op = m;
+                  cs_sem = e;
+                  cs_store = alive i e.Op.e_out;
+                  cs_into = None;
+                }
               in
               begin
                 match acc with

@@ -20,19 +20,13 @@
 val compile_group :
   external_writes:string list -> Op.t list -> (Op.env -> unit) option
 
-(** {1 Shared interpretation helpers}
-
-    The memory planner ({!Memplan}) re-interprets single element-wise ops
-    against planner-owned buffers; it must apply exactly the per-element
-    function this module applies so planned results stay bitwise equal. *)
-
-(** [apply_fn fn v o] is one element step: [v] the chained value, [o] the
-    operand element (ignored by unary fns). *)
-val apply_fn : Op.elt_fn -> float -> float -> float
-
-(** Row-major strides of [dims] — the layout under which an operand can be
-    indexed by flat position directly. *)
-val canonical_strides : int array -> int array
-
-(** Element volume below which a parallel region costs more than the work. *)
-val par_min_work : int
+(** [run_elt ?into env op sem] runs the single element-wise op [op] (whose
+    declarative mirror is [sem]) as a one-stage chain. With [into], the
+    output is written into that buffer and stored in [env] without a
+    fresh allocation; [into] may be the input's own buffer (an in-place
+    write: each position is read before it is overwritten). A buffer
+    whose length disagrees with the op's volume is ignored. A dropout
+    stage's mask is always freshly drawn. On a runtime shape or layout
+    surprise the op's own [run] executes instead and [into] is unused. *)
+val run_elt :
+  ?into:float array -> Op.env -> Op.t -> Op.elt_sem -> unit

@@ -8,24 +8,25 @@
    set small, and emits a placement plan: dead intermediates recycle a
    bounded pool of planner-owned slot buffers, element-wise ops whose
    input dies at that op execute in place, pure [Copy] ops become
-   zero-copy aliases, and everything the planner cannot interpret runs its
+   zero-copy aliases, and everything the planner cannot place runs its
    own (guarded) closure with the freshly allocated output adopted into
-   the slot afterwards.
+   the slot afterwards. The planner only decides placement; it computes
+   no values itself.
 
    Invariants that make planned execution bitwise-equal to the
    allocate-everything oracle:
 
    - The environment stays the source of truth: every op consumes exactly
-     the tensors the oracle would, and planner-produced values are written
-     by loops replicating the naive constructors' per-element float
-     expressions (via {!Fastpath.apply_fn} and the same strided operand
-     walks). Slots only decide *where* bytes land, never *what* they are.
+     the tensors the oracle would. Placed element-wise values are written
+     by {!Fastpath}'s chain kernel ({!Fastpath.run_elt}) into the slot
+     buffer, and contractions by {!Einsum.contract}'s [?into]. Slots only
+     decide *where* bytes land, never *what* they are.
    - Scheduling respects read-after-write, write-after-read, and
      write-after-write dependencies; ops are pure functions of their
      inputs (dropout masks draw from a per-op PRNG stream key), so any
      topological order computes identical values.
    - A fallible kernel never writes through a live alias: in-place
-     placement is reserved for the planner's own infallible scalar loop,
+     placement is reserved for the chain kernel's unguarded scalar loop,
      contractions write into slot buffers nothing else aliases (a guard
      fallback re-zeroes that private buffer and recomputes), and opaque
      ops allocate privately with adoption only after they succeed.
@@ -33,19 +34,8 @@
      source; pinned inputs and escaping (kept) outputs are copied for
      real, and a source with live aliases is never overwritten in place.
 
-   Escape hatch: SUBSTATION_NOPLAN=1 disables planning process-wide
-   ({!enabled} returns false; {!Frameworks.Executor.run_planned} then
-   falls back to the unplanned path). *)
-
-(* ------------------------------------------------------------------ *)
-(* Global switches                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let env_disabled = lazy (Substation_env.noplan ())
-
-let state = ref None (* None = follow the env var *)
-let enabled () = match !state with Some b -> b | None -> not (Lazy.force env_disabled)
-let set_enabled b = state := Some b
+   Whether a program is planned at all is the compilation regime's
+   decision ({!Compile.Regime}), not this module's. *)
 
 (* Environment keys that shadow a container under a suffix (e.g. the
    streaming-attention op stores per-row logsumexp under "<out>.lse").
@@ -68,7 +58,10 @@ type dest =
 type mode =
   | Opaque of (string * int) list
       (* run the op's own closure; adopt each (container, slot) output *)
-  | Celt of { e : Op.elt_sem; out : dest; mask : dest option }
+  | Celt of { e : Op.elt_sem; out : dest; adopt : (string * int) list }
+      (* run through {!Fastpath.run_elt} into [out], then adopt like
+         [Opaque]: the freshly drawn dropout mask, and an output the
+         kernel could not place *)
   | Calias of { e : Op.elt_sem }  (* Copy as a zero-copy view of its source *)
   | Ccontract of { c : Op.contract_sem; out : dest }
 
@@ -86,7 +79,7 @@ type stats = {
   live_peak_floats : int;  (* max simultaneously-named floats in the schedule *)
   slots : int;
   slab_floats : int;  (* total recycled slot storage *)
-  placed : int;  (* sem-interpreted ops writing straight into slots *)
+  placed : int;  (* element-wise/contraction ops written straight into slots *)
   adopted : int;  (* opaque ops with outputs adopted into slots *)
   inplace : int;  (* element-wise ops overwriting their dying input *)
   aliased : int;  (* copies elided into zero-copy views *)
@@ -384,6 +377,21 @@ let build_for_order (p : Program.t) info order =
     let dest_for c =
       if is_kept info c || is_pinned info c then Dfresh else Dslot (acquire c)
     in
+    let celt (e : Op.elt_sem) out =
+      let own =
+        match out with
+        | Dslot sid | Dinplace sid -> [ (e.Op.e_out, sid) ]
+        | Dfresh -> []
+      in
+      let mask =
+        match e.Op.e_mask with
+        | Some m -> (
+            match dest_for m with Dslot sid -> [ (m, sid) ] | _ -> [])
+        | None -> []
+      in
+      counters.c_placed <- counters.c_placed + 1;
+      Celt { e; out; adopt = own @ mask }
+    in
     let mode =
       match elt_of op with
       | Some e ->
@@ -420,18 +428,9 @@ let build_for_order (p : Program.t) info order =
             Hashtbl.remove slot_of x;
             Hashtbl.replace slot_of out sid;
             counters.c_inplace <- counters.c_inplace + 1;
-            let mask =
-              Option.map (fun m -> dest_for m) e.Op.e_mask
-            in
-            counters.c_placed <- counters.c_placed + 1;
-            Celt { e; out = Dinplace sid; mask }
+            celt e (Dinplace sid)
           end
-          else begin
-            let out_d = dest_for out in
-            let mask = Option.map (fun m -> dest_for m) e.Op.e_mask in
-            counters.c_placed <- counters.c_placed + 1;
-            Celt { e; out = out_d; mask }
-          end
+          else celt e (dest_for out)
       | None -> (
           match contract_of op with
           | Some c ->
@@ -506,13 +505,13 @@ let build_for_order (p : Program.t) info order =
   in
   (actions, slot_sizes, stats)
 
-let plan ?keep ?(reorder = true) (p : Program.t) =
+let plan ?keep (p : Program.t) =
   let ops = Array.of_list p.Program.ops in
   let n = Array.length ops in
   let info = analyze ?keep p in
   let identity = Array.init n (fun i -> i) in
   let candidates =
-    if reorder && n > 1 then [ identity; greedy_order ops info ] else [ identity ]
+    if n > 1 then [ identity; greedy_order ops info ] else [ identity ]
   in
   let built =
     List.map (fun order -> build_for_order p info order) candidates
@@ -535,29 +534,6 @@ let plan ?keep ?(reorder = true) (p : Program.t) =
     p_busy = Atomic.make false;
   }
 
-(* Memoized plans keyed by physical program identity (programs are built
-   once and re-run many times), so slot buffers persist across runs —
-   the steady-state allocation rate of a planned training/serving loop is
-   zero for placed containers. *)
-let memo : (Program.t * string list * bool * t) list ref = ref []
-let memo_cap = 64
-
-let for_program ?(keep = []) ?(reorder = true) p =
-  match
-    List.find_opt
-      (fun (q, k, r, _) -> q == p && k = keep && r = reorder)
-      !memo
-  with
-  | Some (_, _, _, t) -> t
-  | None ->
-      let t = plan ~keep ~reorder p in
-      memo :=
-        (p, keep, reorder, t)
-        :: (if List.length !memo >= memo_cap then
-              List.filteri (fun i _ -> i < memo_cap - 1) !memo
-            else !memo);
-      t
-
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -577,125 +553,6 @@ let adopt env slots sizes (c, sid) =
   | Some t when Array.length (Dense.unsafe_data t) = sizes.(sid) ->
       slots.(sid) <- Some (Dense.unsafe_data t)
   | _ -> ()
-
-(* Interpret one element-wise op against planner-owned storage. Applies
-   exactly {!Fastpath.apply_fn} per element with the operand walked by the
-   same strides the fused chain interpreter uses, so results are bitwise
-   equal to both the naive constructor and the fused fast path. *)
-let run_elt env slots sizes (op : Op.t) (e : Op.elt_sem) out_d mask_d =
-  let x = Op.lookup env e.Op.e_x in
-  let ax = Dense.layout x in
-  let dims = Array.of_list (Shape.sizes (Dense.shape x)) in
-  let total = Dense.volume x in
-  let sem_vol = List.fold_left (fun acc (_, v) -> acc * v) 1 e.Op.e_dims in
-  let compatible =
-    Axis.equal_sets (List.map fst e.Op.e_dims) ax && sem_vol = total
-  in
-  if not compatible then begin
-    (* runtime layout surprise: the op's own closure is always sound *)
-    op.Op.run env;
-    (match out_d with
-    | Dslot sid | Dinplace sid -> adopt env slots sizes (e.Op.e_out, sid)
-    | Dfresh -> ());
-    match (mask_d, e.Op.e_mask) with
-    | Some (Dslot sid), Some m -> adopt env slots sizes (m, sid)
-    | _ -> ()
-  end
-  else begin
-    let opnd =
-      match e.Op.e_fn with
-      | Op.Dropout_gen { p; seed; key } ->
-          let m =
-            match mask_d with
-            | Some (Dslot sid) when sizes.(sid) = sem_vol ->
-                Elementwise.dropout_mask_into ~seed ~name:key e.Op.e_dims ~p
-                  (materialize slots sizes sid)
-            | _ -> Elementwise.dropout_mask ~seed ~name:key e.Op.e_dims ~p
-          in
-          (match e.Op.e_mask with Some mc -> Op.store env mc m | None -> ());
-          Some m
-      | _ -> Option.map (Op.lookup env) e.Op.e_operand
-    in
-    let xd = Dense.unsafe_data x in
-    let ob =
-      match out_d with
-      | Dinplace _ -> xd
-      | Dslot sid ->
-          let b = materialize slots sizes sid in
-          if Array.length b = total then b else Array.make total 0.0
-      | Dfresh -> Array.make total 0.0
-    in
-    (match out_d with
-    | Dinplace sid -> slots.(sid) <- Some ob
-    | _ -> ());
-    let out_t = Dense.of_buffer (Shape.to_list (Dense.shape x)) ob in
-    let fn = e.Op.e_fn in
-    (match opnd with
-    | None ->
-        let run_range lo hi =
-          for pos = lo to hi - 1 do
-            Array.unsafe_set ob pos
-              (Fastpath.apply_fn fn (Array.unsafe_get xd pos) 0.0)
-          done
-        in
-        if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-          Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-            run_range
-        else run_range 0 total
-    | Some o ->
-        let od = Dense.unsafe_data o in
-        let str = Dense.strides_for o ax in
-        if str = Fastpath.canonical_strides dims then begin
-          let run_range lo hi =
-            for pos = lo to hi - 1 do
-              Array.unsafe_set ob pos
-                (Fastpath.apply_fn fn (Array.unsafe_get xd pos)
-                   (Array.unsafe_get od pos))
-            done
-          in
-          if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-            Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-              run_range
-          else run_range 0 total
-        end
-        else begin
-          let ndim = Array.length dims in
-          let run_range lo hi =
-            let idx = Array.make (Stdlib.max ndim 1) 0 in
-            let rem = ref lo in
-            for d = ndim - 1 downto 0 do
-              idx.(d) <- !rem mod dims.(d);
-              rem := !rem / dims.(d)
-            done;
-            let ooff = ref 0 in
-            for d = 0 to ndim - 1 do
-              ooff := !ooff + (idx.(d) * str.(d))
-            done;
-            for pos = lo to hi - 1 do
-              Array.unsafe_set ob pos
-                (Fastpath.apply_fn fn (Array.unsafe_get xd pos)
-                   (Array.unsafe_get od !ooff));
-              let rec bump d =
-                if d >= 0 then begin
-                  idx.(d) <- idx.(d) + 1;
-                  ooff := !ooff + str.(d);
-                  if idx.(d) = dims.(d) then begin
-                    idx.(d) <- 0;
-                    ooff := !ooff - (str.(d) * dims.(d));
-                    bump (d - 1)
-                  end
-                end
-              in
-              bump (ndim - 1)
-            done
-          in
-          if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-            Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-              run_range
-          else run_range 0 total
-        end);
-    Op.store env e.Op.e_out out_t
-  end
 
 let run_contract env slots sizes (c : Op.contract_sem) out_d =
   let ins = List.map (Op.lookup env) c.Op.c_inputs in
@@ -718,12 +575,11 @@ let run_contract env slots sizes (c : Op.contract_sem) out_d =
         Some (materialize slots sizes sid)
     | _ -> None
   in
-  let r = Einsum.contract ~scale:c.Op.c_scale ?into ins ~out:spec.Einsum.result in
-  (match (out_d, into) with
-  | Dslot sid, None when Array.length (Dense.unsafe_data r) = sizes.(sid) ->
-      slots.(sid) <- Some (Dense.unsafe_data r)
-  | _ -> ());
-  Op.store env c.Op.c_out r
+  Op.store env c.Op.c_out
+    (Einsum.contract ~scale:c.Op.c_scale ?into ins ~out:spec.Einsum.result);
+  match out_d with
+  | Dslot sid -> adopt env slots sizes (c.Op.c_out, sid)
+  | Dfresh | Dinplace _ -> ()
 
 let execute_with slots t ?check_op ?wrap_op inputs =
   let sizes = t.p_slot_sizes in
@@ -735,7 +591,15 @@ let execute_with slots t ?check_op ?wrap_op inputs =
         | Opaque adoptions ->
             act.act_op.Op.run env;
             List.iter (adopt env slots sizes) adoptions
-        | Celt { e; out; mask } -> run_elt env slots sizes act.act_op e out mask
+        | Celt { e; out; adopt = adoptions } ->
+            let into =
+              match out with
+              | Dslot sid -> Some (materialize slots sizes sid)
+              | Dinplace _ -> Some (Dense.unsafe_data (Op.lookup env e.Op.e_x))
+              | Dfresh -> None
+            in
+            Fastpath.run_elt ?into env act.act_op e;
+            List.iter (adopt env slots sizes) adoptions
         | Calias { e } ->
             let x = Op.lookup env e.Op.e_x in
             Op.store env e.Op.e_out
@@ -764,5 +628,3 @@ let execute ?check_op ?wrap_op t inputs =
   else
     execute_with (Array.map (fun _ -> None) t.p_slots) t ?check_op ?wrap_op
       inputs
-
-let run ?keep ?reorder p inputs = execute (for_program ?keep ?reorder p) inputs

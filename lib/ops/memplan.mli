@@ -8,21 +8,22 @@
     topological reorder, and assigns each non-escaping container to a
     recycled slot buffer: element-wise ops whose input dies at that op
     run in place, pure copies become zero-copy aliases, contractions
-    write straight into their slot, and ops the planner cannot interpret
+    write straight into their slot, and ops the planner cannot place
     run their own closure with the output adopted into the slot after the
     fact. Aliasing is conservative — pinned inputs and outputs that
     escape to the caller are always copied for real, and a buffer with
     live aliases is never overwritten.
 
-    [execute] is bitwise-equal to {!Program.run} (serial and parallel,
-    fast and naive mode): the environment remains the source of truth,
-    planner loops apply exactly the naive constructors' per-element
-    functions, and guarded kernels recover into private storage no live
-    tensor aliases.
+    The planner only places; it computes no values. [execute] is
+    bitwise-equal to {!Program.run} (serial and parallel, fast and naive
+    mode): the environment remains the source of truth, placed
+    element-wise ops run through {!Fastpath.run_elt} (the fused-chain
+    kernel) writing into their slot, contractions through
+    {!Einsum.contract}'s [?into], and guarded kernels recover into
+    private storage no live tensor aliases.
 
-    Setting [SUBSTATION_NOPLAN=1] in the environment disables planning
-    process-wide ({!enabled} returns [false]); callers are expected to
-    fall back to the unplanned interpreter. *)
+    Whether a program is planned is decided by the compilation regime
+    ([Regime.plan_memory], defaulting to [not SUBSTATION_NOPLAN]). *)
 
 type t
 (** A compiled plan: a placement-annotated action per op plus the slot
@@ -36,7 +37,7 @@ type stats = {
   live_peak_floats : int;  (** max simultaneously-live floats in the schedule *)
   slots : int;
   slab_floats : int;  (** total recycled slot storage *)
-  placed : int;  (** sem-interpreted ops writing straight into slots *)
+  placed : int;  (** element-wise/contraction ops written straight into slots *)
   adopted : int;  (** opaque ops whose outputs were adopted into slots *)
   inplace : int;  (** element-wise ops overwriting their dying input *)
   aliased : int;  (** copies elided into zero-copy views *)
@@ -44,28 +45,17 @@ type stats = {
   reordered : bool;  (** schedule differs from program order *)
 }
 
-val enabled : unit -> bool
-(** [false] when [SUBSTATION_NOPLAN=1] (or {!set_enabled}[ false]). *)
-
-val set_enabled : bool -> unit
-(** Override the environment switch (tests and benchmarks). *)
-
 val register_sidecar : string -> unit
 (** Register an environment-key suffix that shadows a container (e.g.
     [".lse"] for streaming attention's per-row logsumexp): removing a
     dead container also removes [container ^ suffix]. *)
 
-val plan : ?keep:string list -> ?reorder:bool -> Program.t -> t
+val plan : ?keep:string list -> Program.t -> t
 (** Analyze and place [p]. Containers in [keep] (plus terminal outputs
     that no op reads) escape to the caller: they get fresh storage every
-    run and are never aliased. [reorder] (default [true]) also tries the
-    greedy peak-minimizing schedule and keeps whichever order yields the
-    smaller planned resident set. *)
-
-val for_program : ?keep:string list -> ?reorder:bool -> Program.t -> t
-(** Memoized {!plan}, keyed on the program's physical identity — re-runs
-    of the same program reuse both the analysis and the slot buffers, so
-    steady-state allocation for placed containers is zero. *)
+    run and are never aliased. Both the program order and the greedy
+    peak-minimizing schedule are placed; the plan keeps whichever yields
+    the smaller planned resident set. *)
 
 val stats : t -> stats
 
@@ -86,8 +76,3 @@ val execute :
     holds the inputs plus kept containers. A concurrent [execute] of the
     same plan is safe: the second caller runs against private
     (non-recycled) buffers. *)
-
-val run :
-  ?keep:string list -> ?reorder:bool -> Program.t -> (string * Dense.t) list
-  -> Op.env
-(** [execute (for_program p) inputs]. *)

@@ -10,15 +10,17 @@
 
    The parse is lazy-once: [Sys.getenv_opt] at first use, cached for the
    process. Scoped overrides (Fastmode.with_mode, Pool.with_domains,
-   Guard.with_level, Memplan.set_enabled) still win over the environment
-   exactly as before — this module only replaces where the env values
-   come from, not the override layering. *)
+   Guard.with_level) still win over the environment exactly as before —
+   this module only replaces where the env values come from, not the
+   override layering. SUBSTATION_NOPLAN has no global override: it is the
+   default of the compilation regime's plan_memory switch, which callers
+   set per compile. *)
 
 type guard_level = Goff | Gexn | Gnan | Gfinite
 
 type t = {
   naive : bool;  (* SUBSTATION_NAIVE: disable the fast CPU backend *)
-  noplan : bool;  (* SUBSTATION_NOPLAN: disable the static memory planner *)
+  noplan : bool;  (* SUBSTATION_NOPLAN: plan_memory=false by default *)
   guard : guard_level option;  (* SUBSTATION_GUARD: kernel-guard level *)
   domains : int option;  (* SUBSTATION_DOMAINS: worker domain count *)
   attn_tiles : (int * int) option;  (* SUBSTATION_ATTN_TILES: "QxK" *)

@@ -4,8 +4,10 @@
 
     - [SUBSTATION_NAIVE] — boolean; disables the fast CPU backend so every
       kernel runs through the naive oracle ({!Fastmode}).
-    - [SUBSTATION_NOPLAN] — boolean; disables the static memory planner
-      ([Ops.Memplan]), reverting to allocate-everything interpretation.
+    - [SUBSTATION_NOPLAN] — boolean; the default of the compilation
+      regime's [plan_memory] switch ([Compile.Regime.current] /
+      [Compile.Regime.planned]): set, programs compile without a memory
+      plan and run allocate-everything.
     - [SUBSTATION_GUARD] — [off|exn|nan|finite]; kernel-guard level
       ({!Guard}).
     - [SUBSTATION_DOMAINS] — non-negative integer; worker domain count
@@ -18,8 +20,9 @@
     it is recorded as a warning, printed once to stderr the first time any
     setting is consulted, and included in {!describe}'s dump. The
     environment is parsed once per process; scoped overrides
-    ([Fastmode.with_mode], [Pool.with_domains], [Guard.with_level],
-    [Memplan.set_enabled]) layer on top exactly as before. *)
+    ([Fastmode.with_mode], [Pool.with_domains], [Guard.with_level]) layer
+    on top exactly as before; planning is overridden per compile through
+    the regime. *)
 
 type guard_level = Goff | Gexn | Gnan | Gfinite
 

@@ -259,6 +259,33 @@ let test_executor_compiled_parity () =
         [ "y"; "d_x"; "d_wq"; "d_w2" ])
     [ true; false ]
 
+(* ---------------- pass trace ---------------- *)
+
+(* The peak column means the same thing in every row: once the memory
+   plan is built, later (metadata-only) passes still run under it, so
+   they report its planned peak rather than the allocate-everything sum. *)
+let test_trace_peak_after_plan () =
+  let plan =
+    Compile.Compiled.compile ~device ~use_cache:false
+      ~name_table:Transformer.Encoder.kernel_names
+      ~params:Transformer.Encoder.param_names
+      { (Compile.Regime.current ()) with Compile.Regime.plan_memory = true }
+      (Transformer.Encoder.program tiny)
+  in
+  let peak name =
+    match
+      List.find_opt
+        (fun s -> String.equal s.Compile.Pass.st_pass name)
+        plan.Compile.Compiled.trace
+    with
+    | Some s -> s.Compile.Pass.st_peak_floats
+    | None -> Alcotest.failf "no %s row in the pass trace" name
+  in
+  check_bool "memory plan lowers the peak" true
+    (peak "memory-plan" < peak "canonicalize");
+  check_int "prepack row keeps the planned peak" (peak "memory-plan")
+    (peak "prepack")
+
 (* ---------------- environment parsing (Substation.Env) --------------- *)
 
 let test_env_parse () =
@@ -337,6 +364,11 @@ let () =
         [
           Alcotest.test_case "run_functional == uncompiled interpreter" `Quick
             test_executor_compiled_parity;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "peak column carries the memory plan" `Quick
+            test_trace_peak_after_plan;
         ] );
       ( "env",
         [ Alcotest.test_case "single parse point, loud typos" `Quick test_env_parse ] );

@@ -120,6 +120,13 @@ let chain_inputs seed =
   let prng = Prng.create seed in
   [ ("x0", Dense.rand prng dims ~lo:(-1.0) ~hi:1.0) ]
 
+(* Placed element-wise ops run through the shared chain kernel under
+   either backend; both must place identically and match the oracle. *)
+let both_backends f =
+  List.iter
+    (fun fast -> f ~tag:(if fast then "fast" else "naive") ~fast)
+    [ false; true ]
+
 let test_inplace_taken_when_legal () =
   (* x0 -> relu t1 -> gelu t2 -> tanh t3 -> sigmoid y: t1 and t2 each die
      at their consumer, whose output does not escape, so both interior
@@ -139,10 +146,12 @@ let test_inplace_taken_when_legal () =
         [ ("x0", dims); ("t1", dims); ("t2", dims); ("t3", dims); ("y", dims) ]
       ops
   in
-  let _, s =
-    planned_agrees ~name:"inplace chain" program (chain_inputs 3L) ~fast:false
-  in
-  check_int "both interior ops run in place" 2 s.Ops.Memplan.inplace
+  both_backends (fun ~tag ~fast ->
+      let _, s =
+        planned_agrees ~name:("inplace chain " ^ tag) program (chain_inputs 3L)
+          ~fast
+      in
+      check_int "both interior ops run in place" 2 s.Ops.Memplan.inplace)
 
 let test_inplace_refused_for_live_source () =
   (* t1 is read again after the gelu, and both outputs escape: nothing may
@@ -160,11 +169,13 @@ let test_inplace_refused_for_live_source () =
         [ ("x0", dims); ("t1", dims); ("y1", dims); ("y2", dims) ]
       ops
   in
-  let _, s =
-    planned_agrees ~name:"live source" program (chain_inputs 5L) ~fast:false
-  in
-  check_int "no in-place with a later reader" 0 s.Ops.Memplan.inplace;
-  check_int "no aliasing of escaping outputs" 0 s.Ops.Memplan.aliased
+  both_backends (fun ~tag ~fast ->
+      let _, s =
+        planned_agrees ~name:("live source " ^ tag) program (chain_inputs 5L)
+          ~fast
+      in
+      check_int "no in-place with a later reader" 0 s.Ops.Memplan.inplace;
+      check_int "no aliasing of escaping outputs" 0 s.Ops.Memplan.aliased)
 
 let test_alias_vs_copy_fallback () =
   (* copy of a slot-backed intermediate aliases; copy of a pinned input
@@ -180,10 +191,12 @@ let test_alias_vs_copy_fallback () =
         Ops.Elementwise.gelu ~name:"g" ~x:"t2" ~out:"y" dims ();
       ]
   in
-  let _, s =
-    planned_agrees ~name:"alias copy" alias_prog (chain_inputs 7L) ~fast:false
-  in
-  check_int "slot-backed copy aliased" 1 s.Ops.Memplan.aliased;
+  both_backends (fun ~tag ~fast ->
+      let _, s =
+        planned_agrees ~name:("alias copy " ^ tag) alias_prog (chain_inputs 7L)
+          ~fast
+      in
+      check_int "slot-backed copy aliased" 1 s.Ops.Memplan.aliased);
   let copy_prog =
     Ops.Program.make
       ~containers:[ ("x0", dims); ("t2", dims); ("y", dims) ]
@@ -192,10 +205,12 @@ let test_alias_vs_copy_fallback () =
         Ops.Elementwise.gelu ~name:"g" ~x:"t2" ~out:"y" dims ();
       ]
   in
-  let _, s2 =
-    planned_agrees ~name:"pinned copy" copy_prog (chain_inputs 9L) ~fast:false
-  in
-  check_int "pinned source copied for real" 0 s2.Ops.Memplan.aliased
+  both_backends (fun ~tag ~fast ->
+      let _, s =
+        planned_agrees ~name:("pinned copy " ^ tag) copy_prog (chain_inputs 9L)
+          ~fast
+      in
+      check_int "pinned source copied for real" 0 s.Ops.Memplan.aliased)
 
 (* ---------------- randomized layouts through dropout ---------------- *)
 
@@ -225,12 +240,14 @@ let test_random_layout_chains () =
             [ ("x0", d3); ("t1", d3); ("t2", d3); ("m", d3); ("y", d3) ]
           ops
       in
-      ignore
-        (planned_agrees
-           ~name:(Printf.sprintf "layout chain %d" seed)
-           program
-           [ ("x0", x) ]
-           ~fast:false))
+      let _, s =
+        planned_agrees
+          ~name:(Printf.sprintf "layout chain %d" seed)
+          program
+          [ ("x0", x) ]
+          ~fast:false
+      in
+      check_int "dropout stage runs in place" 1 s.Ops.Memplan.inplace)
     [ 1; 2; 3; 4 ]
 
 (* ---------------- serial == parallel ---------------- *)
@@ -279,15 +296,20 @@ let test_run_planned_guard_and_fallback () =
      ignore (Frameworks.Executor.run_planned ~fast:true plan bad_inputs);
      Alcotest.fail "expected Numerical_fault through the planned path"
    with Frameworks.Executor.Numerical_fault _ -> ());
-  (* SUBSTATION_NOPLAN escape hatch: disabled planning falls back to the
-     unplanned interpreter, which retains every intermediate *)
-  Ops.Memplan.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Ops.Memplan.set_enabled true)
-    (fun () ->
-      let env_off = Frameworks.Executor.run_planned ~fast:true plan inputs in
-      check_bool "disabled planner retains intermediates" true
-        (Hashtbl.mem env_off "ln1_out"))
+  (* escape hatch (SUBSTATION_NOPLAN=1 is only the regime's default): a
+     planned regime with memory planning off compiles no memory plan and
+     runs the unplanned interpreter, which retains every intermediate *)
+  let off =
+    Compile.Compiled.compile
+      { (Compile.Regime.planned ~fast:true ()) with
+        Compile.Regime.plan_memory = false }
+      plan.Frameworks.Executor.program
+  in
+  check_bool "no memory plan compiled" true
+    (Option.is_none off.Compile.Compiled.memplan);
+  let env_off = Compile.Compiled.execute off inputs in
+  check_bool "disabled planner retains intermediates" true
+    (Hashtbl.mem env_off "ln1_out")
 
 (* ---------------- plan-cache regime keying ---------------- *)
 
