@@ -308,9 +308,15 @@ let smoke_hp =
    run must not be meaningfully slower than serial. On a machine with
    >= 2 cores we require near-parity or better (0.95, leaving room for
    timer noise); on a single core the "parallel" domains timeshare one
-   CPU, so only pathological overhead (ratio < 0.4) fails. Bitwise
+   CPU, so only pathological overhead (ratio < 0.4) fails. One run takes
+   a few milliseconds, so a best-of-N on each side compares two noisy
+   minima taken at different moments: instead serial and parallel runs
+   are timed back to back in [smoke_pairs] pairs, alternating which goes
+   first, and the gate is the median of the per-pair ratios. Bitwise
    equality of parallel vs serial results is covered by test_pool. *)
-let smoke_parallel hp ~reps =
+let smoke_pairs = 21
+
+let smoke_parallel hp =
   let plan, inputs =
     workload_plan ~name:"encoder_layer"
       ~name_table:Transformer.Encoder.kernel_names
@@ -320,25 +326,48 @@ let smoke_parallel hp ~reps =
   let run () =
     Frameworks.Executor.run_functional ~check:No_check ~fast:true plan inputs
   in
-  let serial_s = Fastmode.with_domains 1 (fun () -> best_of ~reps run) in
   let par_d = Stdlib.max 2 (Pool.num_domains ()) in
-  let par_s = Fastmode.with_domains par_d (fun () -> best_of ~reps run) in
-  let ratio = serial_s /. par_s in
+  (* Each run starts from a collected heap, so no run pays for the
+     garbage the run before it left. *)
+  let timed d =
+    Fastmode.with_domains d (fun () ->
+        Gc.full_major ();
+        let t0 = now () in
+        ignore (run ());
+        now () -. t0)
+  in
+  (* warm both sides: plan caches, arena pools, the domain pool *)
+  ignore (timed 1);
+  ignore (timed par_d);
+  let ratios =
+    Array.init smoke_pairs (fun i ->
+        if i mod 2 = 0 then
+          let serial_s = timed 1 in
+          serial_s /. timed par_d
+        else
+          let par_s = timed par_d in
+          timed 1 /. par_s)
+  in
+  Array.sort compare ratios;
+  let at q = ratios.(int_of_float (q *. float_of_int (smoke_pairs - 1))) in
+  let ratio = at 0.5 in
   let cores = Domain.recommended_domain_count () in
   let floor = if cores >= 2 then 0.95 else 0.4 in
   if ratio < floor then begin
     Printf.eprintf
       "bench-smoke FAILED: parallel encoder run (%d domains) is slower than \
-       serial beyond tolerance (ratio %.2fx < %.2fx, %d core%s)\n"
-      par_d ratio floor cores
+       serial beyond tolerance (median pair ratio %.2fx < %.2fx, quartiles \
+       %.2f-%.2f over %d pairs, %d core%s)\n"
+      par_d ratio floor (at 0.25) (at 0.75) smoke_pairs cores
       (if cores = 1 then "" else "s");
     exit 1
   end
   else
     Printf.printf
       "bench-smoke OK: parallel encoder run (%d domains) at %.2fx of serial \
-       (floor %.2fx, %d core%s)\n"
-      par_d ratio floor cores
+       (median of %d alternating pairs, quartiles %.2f-%.2f; floor %.2fx, %d \
+       core%s)\n"
+      par_d ratio smoke_pairs (at 0.25) (at 0.75) floor cores
       (if cores = 1 then "" else "s")
 
 let run mode =
@@ -437,6 +466,6 @@ let run mode =
       else begin
         Printf.printf "bench-smoke OK: encoder speedup %.2fx >= 1.0x\n"
           enc_speedup;
-        smoke_parallel hp ~reps
+        smoke_parallel hp
       end
   | `Json -> ()

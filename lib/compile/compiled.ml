@@ -334,7 +334,7 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
                 (* once planned, every later pass runs under that plan *)
                 (match ctx.Pass.memplan with
                 | Some mp -> (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats
-                | None -> Pass.naive_peak_floats p');
+                | None -> Ops.Memplan.naive_peak_floats p');
               st_elapsed = elapsed;
               st_note = ctx.Pass.note;
             }

@@ -60,21 +60,6 @@ type t = {
   p_rewrite : ctx -> Ops.Program.t -> Ops.Program.t;
 }
 
-(* Allocate-everything resident set: every declared container some op
-   reads or writes, materialized simultaneously. *)
-let naive_peak_floats (p : Ops.Program.t) =
-  let touched = Hashtbl.create 64 in
-  List.iter
-    (fun (o : Ops.Op.t) ->
-      List.iter (fun c -> Hashtbl.replace touched c ()) (o.reads @ o.writes))
-    p.Ops.Program.ops;
-  List.fold_left
-    (fun acc (c, ds) ->
-      if Hashtbl.mem touched c then
-        acc + List.fold_left (fun v (_, n) -> v * n) 1 ds
-      else acc)
-    0 p.Ops.Program.containers
-
 let pp_stat ppf s =
   Format.fprintf ppf "%-18s ops %3d -> %3d  peak %9d floats  %6.2f ms%s" s.st_pass
     s.st_ops_before s.st_ops_after s.st_peak_floats (s.st_elapsed *. 1000.)

@@ -51,7 +51,4 @@ type t = {
   p_rewrite : ctx -> Ops.Program.t -> Ops.Program.t;
 }
 
-(** Allocate-everything resident set of a program, in floats. *)
-val naive_peak_floats : Ops.Program.t -> int
-
 val pp_stat : Format.formatter -> stat -> unit

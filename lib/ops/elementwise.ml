@@ -115,9 +115,13 @@ let dropout_keep_scale p =
 
 let dropout_mask ~seed ~name dims ~p =
   let scale = dropout_keep_scale p in
-  let prng = Prng.of_key seed name in
-  (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. *)
-  Dense.init dims (fun _ -> if Prng.bernoulli prng ~p then 0.0 else scale)
+  (* Mask folds the keep-scaling in: value is 1/(1-p) or 0, drawn in
+     storage order. *)
+  let m = Dense.zeros dims in
+  let d = Dense.unsafe_data m in
+  Prng.fill_mask (Prng.of_key seed name) ~p ~scale ~first:0 d ~off:0
+    ~len:(Array.length d);
+  m
 
 let dropout ~name ~x ~out ~mask dims ~p ~seed ?(backward = false) () =
   ignore (dropout_keep_scale p);

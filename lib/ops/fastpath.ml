@@ -5,9 +5,11 @@
    mirror of each member and builds a closure that
 
    - executes chains of element-wise members (bias/dropout/residual/
-     activation, the paper's BDRLN/BSB/BAOB-style interiors) as one loop
-     over the data, keeping the running value in a register and skipping
-     the env materialization of intermediates that nothing else reads;
+     activation, the paper's BDRLN/BSB/BAOB-style interiors) as one pass
+     over the data, a block of positions at a time: each stage runs as a
+     flat float loop over the block's running values (matched once per
+     block, never per element), and the env materialization of
+     intermediates that nothing else reads is skipped;
    - executes statistical members (softmax, layernorm and their adjoints)
      as dedicated row-wise kernels whose per-row scratch comes from the
      {!Arena} instead of whole-tensor temporaries.
@@ -149,7 +151,6 @@ let softmax_fast env (op : Op.t) ~x_name ~out_name ~axis ~prescale ~causal =
               (fun _row bases idx ->
             let base = bases.(0) in
             let jq = if qpos >= 0 then idx.(qpos) else -1 in
-            let mx = ref neg_infinity in
             for k = 0 to kl - 1 do
               let v = prescale *. Array.unsafe_get xd (base + (k * sk)) in
               let v =
@@ -157,10 +158,9 @@ let softmax_fast env (op : Op.t) ~x_name ~out_name ~axis ~prescale ~causal =
                   if k > jq then v +. neg_infinity else v +. 0.0
                 else v
               in
-              Array.unsafe_set e k v;
-              mx := Float.max !mx v
+              Array.unsafe_set e k v
             done;
-            let nm = -1.0 *. !mx in
+            let nm = -1.0 *. Fmax.fold neg_infinity e ~off:0 ~len:kl in
             let s = ref 0.0 in
             for k = 0 to kl - 1 do
               let ev = exp (Array.unsafe_get e k +. nm) in
@@ -341,6 +341,23 @@ let layernorm_dw_fast env (op : Op.t) ~dy_name ~x_name ~mean_name ~istd_name
     let total = Array.fold_left ( * ) 1 dims in
     let idx = Array.make n 0 in
     let xo = ref 0 and mo = ref 0 and so = ref 0 in
+    (* defined once: a [let rec] inside the loop would build a closure
+       per element *)
+    let rec bump d =
+      if d >= 0 then begin
+        idx.(d) <- idx.(d) + 1;
+        xo := !xo + x_str.(d);
+        mo := !mo + m_str.(d);
+        so := !so + s_str.(d);
+        if idx.(d) = dims.(d) then begin
+          idx.(d) <- 0;
+          xo := !xo - (x_str.(d) * dims.(d));
+          mo := !mo - (m_str.(d) * dims.(d));
+          so := !so - (s_str.(d) * dims.(d));
+          bump (d - 1)
+        end
+      end
+    in
     for pos = 0 to total - 1 do
       let k = idx.(p) in
       let xhat =
@@ -350,21 +367,6 @@ let layernorm_dw_fast env (op : Op.t) ~dy_name ~x_name ~mean_name ~istd_name
       let dyv = Array.unsafe_get dyd pos in
       Array.unsafe_set dg k (Array.unsafe_get dg k +. (dyv *. xhat));
       Array.unsafe_set db k (Array.unsafe_get db k +. dyv);
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          xo := !xo + x_str.(d);
-          mo := !mo + m_str.(d);
-          so := !so + s_str.(d);
-          if idx.(d) = dims.(d) then begin
-            idx.(d) <- 0;
-            xo := !xo - (x_str.(d) * dims.(d));
-            mo := !mo - (m_str.(d) * dims.(d));
-            so := !so - (s_str.(d) * dims.(d));
-            bump (d - 1)
-          end
-        end
-      in
       bump (n - 1)
     done;
     Op.store env dgamma_name dgamma;
@@ -413,20 +415,6 @@ type step =
   | Chain of chain_stage list
   | Red of Op.t * Op.red_sem
 
-let apply_fn fn v o =
-  match fn with
-  | Op.Add2 -> v +. o
-  | Op.Mul2 | Op.Dropout_gen _ -> v *. o
-  | Op.Relu -> Float.max 0.0 v
-  | Op.Gelu -> Elementwise.gelu_value v
-  | Op.Sigmoid -> Elementwise.sigmoid_value v
-  | Op.Tanh -> tanh v
-  | Op.Copy -> v
-  | Op.Relu_grad -> if o > 0.0 then v else 0.0
-  | Op.Gelu_grad -> v *. Elementwise.gelu_grad o
-  | Op.Sigmoid_grad -> v *. o *. (1.0 -. o)
-  | Op.Tanh_grad -> v *. (1.0 -. (o *. o))
-
 let no_arr : float array = [||]
 
 type rt_stage = {
@@ -447,8 +435,63 @@ let canonical_strides dims =
   done;
   s
 
-(* Run a chain as one loop. Sound when every stage's dims agree with the
-   chain input's axes (checked); operand layouts are free (strided). *)
+(* Positions per block: a block's running values stay in L1 while every
+   stage of the chain passes over them. *)
+let block = 256
+
+(* One stage over the [n] running values in [v], with operand element i
+   at [o.(oo + i)]. The function is matched once per block and each arm
+   is a flat float loop with the naive constructor's expression: the
+   arithmetic arms box nothing; GELU and sigmoid still call their
+   [Elementwise] value helpers per element. *)
+let apply_block fn v n o oo =
+  match fn with
+  | Op.Add2 ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i (Array.unsafe_get v i +. Array.unsafe_get o (oo + i))
+      done
+  | Op.Mul2 | Op.Dropout_gen _ ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i (Array.unsafe_get v i *. Array.unsafe_get o (oo + i))
+      done
+  | Op.Relu -> Fmax.relu v ~off:0 ~len:n
+  | Op.Gelu ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i (Elementwise.gelu_value (Array.unsafe_get v i))
+      done
+  | Op.Sigmoid ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i (Elementwise.sigmoid_value (Array.unsafe_get v i))
+      done
+  | Op.Tanh ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i (tanh (Array.unsafe_get v i))
+      done
+  | Op.Copy -> ()
+  | Op.Relu_grad ->
+      for i = 0 to n - 1 do
+        if not (Array.unsafe_get o (oo + i) > 0.0) then Array.unsafe_set v i 0.0
+      done
+  | Op.Gelu_grad ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set v i
+          (Array.unsafe_get v i
+          *. Elementwise.gelu_grad (Array.unsafe_get o (oo + i)))
+      done
+  | Op.Sigmoid_grad ->
+      for i = 0 to n - 1 do
+        let ov = Array.unsafe_get o (oo + i) in
+        Array.unsafe_set v i (Array.unsafe_get v i *. ov *. (1.0 -. ov))
+      done
+  | Op.Tanh_grad ->
+      for i = 0 to n - 1 do
+        let ov = Array.unsafe_get o (oo + i) in
+        Array.unsafe_set v i (Array.unsafe_get v i *. (1.0 -. (ov *. ov)))
+      done
+
+(* Run a chain as one pass over the data, a block at a time. Sound when
+   every stage's dims agree with the chain input's axes (checked);
+   operand layouts are free (strided operands are gathered per block). *)
 let run_chain env (stages : chain_stage list) =
   let first = List.hd stages in
   let x0 = Op.lookup env first.cs_sem.Op.e_x in
@@ -510,66 +553,93 @@ let run_chain env (stages : chain_stage list) =
         end)
       rts;
     let nt = !nt in
-    let tstrides = Array.make (Stdlib.max nt 1) [||] in
+    let tracked = Array.make nt no_arr and tstrides = Array.make nt [||] in
     Array.iter
       (fun (st : rt_stage) ->
-        if st.rt_track >= 0 then tstrides.(st.rt_track) <- st.rt_strides)
+        if st.rt_track >= 0 then begin
+          tracked.(st.rt_track) <- st.rt_opnd;
+          tstrides.(st.rt_track) <- st.rt_strides
+        end)
       rts;
     let xd = Dense.unsafe_data x0 in
     let n = Array.length dims in
+    let inner = if n = 0 then 1 else dims.(n - 1) in
     (* One disjoint position range [lo, hi): the multi-index and every
        tracked operand offset are derived from [lo], so any partition of
-       [0, total) writes exactly what the serial single loop writes —
-       each position's chain value depends on that position alone. *)
+       [0, total) writes exactly what the serial walk writes — each
+       position's chain value depends on that position alone. Scratch
+       holds the block's values, then one gathered block per strided
+       operand. *)
     let run_range lo hi =
-      let idx = Array.make (Stdlib.max n 1) 0 in
-      let rem = ref lo in
-      for d = n - 1 downto 0 do
-        idx.(d) <- !rem mod dims.(d);
-        rem := !rem / dims.(d)
-      done;
-      let offs = Array.make (Stdlib.max nt 1) 0 in
-      for s = 0 to nt - 1 do
-        for d = 0 to n - 1 do
-          offs.(s) <- offs.(s) + (idx.(d) * tstrides.(s).(d))
-        done
-      done;
-      for pos = lo to hi - 1 do
-        let v = ref (Array.unsafe_get xd pos) in
-        for s = 0 to ns - 1 do
-          let st = Array.unsafe_get rts s in
-          let o =
-            if st.rt_opnd == no_arr then 0.0
-            else if Array.length st.rt_strides = 0 then
-              Array.unsafe_get st.rt_opnd pos
-            else Array.unsafe_get st.rt_opnd offs.(st.rt_track)
-          in
-          v := apply_fn st.rt_fn !v o;
-          if st.rt_out != no_arr then Array.unsafe_set st.rt_out pos !v
-        done;
-        if nt > 0 then begin
-          let rec bump d =
-            if d >= 0 then begin
-              idx.(d) <- idx.(d) + 1;
+      Arena.with_scratch Arena.global ((1 + nt) * block) (fun buf ->
+          let idx = Array.make (Stdlib.max n 1) 0 in
+          let rem = ref lo in
+          for d = n - 1 downto 0 do
+            idx.(d) <- !rem mod dims.(d);
+            rem := !rem / dims.(d)
+          done;
+          let offs = Array.make (Stdlib.max nt 1) 0 in
+          for s = 0 to nt - 1 do
+            for d = 0 to n - 1 do
+              offs.(s) <- offs.(s) + (idx.(d) * tstrides.(s).(d))
+            done
+          done;
+          (* Gather the next [len] elements of every strided operand,
+             a run along the innermost axis at a time. *)
+          let gather len =
+            let i = ref 0 in
+            while !i < len do
+              let run = min (len - !i) (inner - idx.(n - 1)) in
               for s = 0 to nt - 1 do
-                offs.(s) <- offs.(s) + tstrides.(s).(d)
-              done;
-              if idx.(d) = dims.(d) then begin
-                idx.(d) <- 0;
-                for s = 0 to nt - 1 do
-                  offs.(s) <- offs.(s) - (tstrides.(s).(d) * dims.(d))
+                let src = tracked.(s) and st = tstrides.(s).(n - 1) in
+                let dst = (1 + s) * block in
+                let o = offs.(s) in
+                for e = 0 to run - 1 do
+                  Array.unsafe_set buf (dst + !i + e)
+                    (Array.unsafe_get src (o + (e * st)))
                 done;
-                bump (d - 1)
-              end
-            end
+                offs.(s) <- o + (run * st)
+              done;
+              idx.(n - 1) <- idx.(n - 1) + run;
+              i := !i + run;
+              (* carry into the outer axes *)
+              let d = ref (n - 1) in
+              while !d >= 0 && idx.(!d) = dims.(!d) do
+                let dv = !d in
+                idx.(dv) <- 0;
+                for s = 0 to nt - 1 do
+                  offs.(s) <- offs.(s) - (tstrides.(s).(dv) * dims.(dv))
+                done;
+                if dv > 0 then begin
+                  idx.(dv - 1) <- idx.(dv - 1) + 1;
+                  for s = 0 to nt - 1 do
+                    offs.(s) <- offs.(s) + tstrides.(s).(dv - 1)
+                  done
+                end;
+                d := dv - 1
+              done
+            done
           in
-          bump (n - 1)
-        end
-      done
+          let pos = ref lo in
+          while !pos < hi do
+            let p0 = !pos in
+            let len = min block (hi - p0) in
+            if nt > 0 then gather len;
+            Array.blit xd p0 buf 0 len;
+            for s = 0 to ns - 1 do
+              let st = Array.unsafe_get rts s in
+              if st.rt_opnd == no_arr then apply_block st.rt_fn buf len no_arr 0
+              else if st.rt_track < 0 then
+                apply_block st.rt_fn buf len st.rt_opnd p0
+              else apply_block st.rt_fn buf len buf ((1 + st.rt_track) * block);
+              if st.rt_out != no_arr then Array.blit buf 0 st.rt_out p0 len
+            done;
+            pos := p0 + len
+          done)
     in
     if total >= par_min_work && Pool.num_domains () > 1 then
       Pool.parallel_for ~label:"fastpath.map" ~start:0 ~finish:total run_range
-    else run_range 0 total
+    else if total > 0 then run_range 0 total
   end
 
 let run_elt ?into env op sem =

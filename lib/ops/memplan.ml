@@ -152,6 +152,11 @@ let vol info c = match Hashtbl.find_opt info.vols c with Some v -> v | None -> 0
 let is_pinned info c = Hashtbl.mem info.pinned c
 let is_kept info c = Hashtbl.mem info.kept c
 
+(* Allocate-everything resident set: every container some op writes,
+   materialized at once. Caller-owned inputs are not counted. *)
+let naive_peak info = List.fold_left (fun acc c -> acc + vol info c) 0 info.written
+let naive_peak_floats p = naive_peak (analyze p)
+
 (* Dependency edges over op indices: RAW (writer -> later readers until the
    next writer), WAW (writer -> next writer), WAR (reader -> next writer).
    Exactly the constraints hashtable-environment execution imposes. *)
@@ -478,9 +483,6 @@ let build_for_order (p : Program.t) info order =
   done;
   let slot_sizes = Array.sub !slot_sizes 0 !nslots in
   let slab = Array.fold_left ( + ) 0 slot_sizes in
-  let naive_peak =
-    List.fold_left (fun acc c -> acc + vol info c) 0 info.written
-  in
   let kept_floats =
     List.fold_left
       (fun acc c -> if is_kept info c then acc + vol info c else acc)
@@ -490,7 +492,7 @@ let build_for_order (p : Program.t) info order =
     {
       ops = n;
       containers = List.length info.written;
-      naive_peak_floats = naive_peak;
+      naive_peak_floats = naive_peak info;
       plan_peak_floats = slab + kept_floats;
       live_peak_floats = !live_peak;
       slots = Array.length slot_sizes;

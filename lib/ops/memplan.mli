@@ -50,6 +50,12 @@ val register_sidecar : string -> unit
     [".lse"] for streaming attention's per-row logsumexp): removing a
     dead container also removes [container ^ suffix]. *)
 
+val naive_peak_floats : Program.t -> int
+(** Allocate-everything resident set of a program, in floats: every
+    container some op writes, materialized at once (caller-owned inputs
+    are not counted). The [naive_peak_floats] of {!stats} and of every
+    compiler pass-trace row before the memory plan. *)
+
 val plan : ?keep:string list -> Program.t -> t
 (** Analyze and place [p]. Containers in [keep] (plus terminal outputs
     that no op reads) escape to the caller: they get fresh storage every

@@ -6,17 +6,30 @@
    here follows the same floating-point recipe —
 
      score   = prescale *. (ascending-p dot from 0.0)  [+. 0.0 under a mask]
-     max     = Float.max fold, ascending k
+     max     = Float.max fold, ascending k             (Fmax.fold)
      exp     = exp (score +. (-1.0 *. max))
      sum     = ascending-k fold from 0.0
-     alpha   = (exp *. (1.0 /. sum)) [*. maskv]
+     alpha   = (exp *. (1.0 /. sum)) [*. maskv]        (Prng.fill_mask)
      context = ascending-k fold of (v *. alpha) from 0.0
 
    — so the single-KV-tile ("exact") forward is bitwise equal to the
    oracle, and the multi-tile online path only reassociates the k sums.
    Masked-out positions are skipped rather than computed: they contribute
    exp(-inf + nm) = 0.0 to an ascending sum of non-negatives and leave a
-   Float.max fold unchanged, so skipping preserves every bit. *)
+   Float.max fold unchanged, so skipping preserves every bit.
+
+   The dot products and the accumulations run in register-tiled
+   micro-kernels over 4-row blocks. None changes the order of any single
+   output's sum: [dot_4x2] (scores, d-alpha) keeps 8 independent
+   ascending-feature dots in registers, [acc_4x2] (context, dQ) keeps 8
+   outputs in registers across the whole key range, adding keys in
+   ascending order, and [upd_4x2] (dK, dV) adds the block's rows to each
+   panel row in ascending row order. Rows whose key range outruns the
+   block's common prefix finish with the single-row kernels, continuing
+   the same sums.
+   The max fold is {!Fmax.fold}, bitwise [Float.max] without its C call,
+   and every dropout mask row comes from {!Prng.fill_mask}: apart from
+   [exp] itself, no element pays a C call, a closure or a boxed float. *)
 
 type axes = {
   feat_qk : Axis.t;
@@ -96,9 +109,9 @@ type geom = {
   causal : bool;
   valid : int array option;
   prescale : float;
-  (* dropout, pre-resolved: base splitmix64 state and the keep scale *)
+  (* dropout, pre-resolved: the keyed mask stream and the keep scale *)
   drop_p : float;  (* 0.0 = off *)
-  drop_state : int64;
+  drop_prng : Prng.t;
   drop_scale : float;
 }
 
@@ -174,30 +187,20 @@ let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
     valid;
     prescale;
     drop_p = (match dropout with Some d -> d.p | None -> 0.0);
-    drop_state =
+    drop_prng =
       (match dropout with
-      | Some d -> Prng.state (Prng.of_key d.seed d.key)
-      | None -> 0L);
+      | Some d -> Prng.of_key d.seed d.key
+      | None -> Prng.create 0L);
     drop_scale =
       (match dropout with Some d -> 1.0 /. (1.0 -. d.p) | None -> 1.0);
   }
 
-(* Mask element for flat position [e] of the (h, b, j, k) stream: the
-   value the sequential [Elementwise.dropout_mask] walk assigns there. *)
-let mask_at g e =
-  let s =
-    Int64.add g.drop_state
-      (Int64.mul (Int64.of_int (e + 1)) 0x9E3779B97F4A7C15L)
-  in
-  (* inline Prng.float_at against the precomputed base state *)
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let f =
-    Int64.to_float (Int64.shift_right_logical z 11)
-    *. (1.0 /. 9007199254740992.0)
-  in
-  if f < g.drop_p then 0.0 else g.drop_scale
+(* Mask elements for flat positions [first, first + len) of the
+   (h, b, j, k) stream into [dst.(off) ..]: the values the sequential
+   [Elementwise.dropout_mask] walk assigns there. *)
+let fill_mask g ~first dst ~off ~len =
+  Prng.fill_mask g.drop_prng ~p:g.drop_p ~scale:g.drop_scale ~first dst ~off
+    ~len
 
 (* Valid key range for row [jj] of slot [b]: [0, kmax). *)
 let kmax_of g ~b ~jj =
@@ -205,8 +208,11 @@ let kmax_of g ~b ~jj =
   if g.causal then min m (jj + 1) else m
 
 (* Pack K/V columns [klo, khi) of (h, b) into contiguous [col][feat]
-   panels. One tile's panels are the kernel's cache-resident working set. *)
-let pack_panel data (str : int array) ~h ~b ~klo ~khi ~nf dst =
+   panels. One tile's panels are the kernel's cache-resident working set.
+   The [float array] annotations matter: a polymorphic copy boxes every
+   element it moves. *)
+let pack_panel (data : float array) (str : int array) ~h ~b ~klo ~khi ~nf
+    (dst : float array) =
   let base = (h * str.(1)) + (b * str.(2)) in
   let sf = str.(0) and sk = str.(3) in
   for kk = 0 to khi - klo - 1 do
@@ -221,16 +227,242 @@ let pack_panel data (str : int array) ~h ~b ~klo ~khi ~nf dst =
 let par_min_flop = 4096
 
 (* ------------------------------------------------------------------ *)
-(* Forward                                                             *)
+(* Micro-kernels                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Rows per register block: scores and V-products for [row_block]
-   consecutive Q rows are computed against each packed K/V column load,
-   turning the panel traversals into 1-load / 4-FMA loops (GEMM-style
-   register blocking applied to the streaming passes). Per-row operation
-   order is unchanged and additions sharing a destination keep ascending
-   row order, so blocked runs stay bitwise identical to row-at-a-time. *)
+(* Rows per register block. Scores, d-alphas, contexts and dQ rows of
+   [row_block] consecutive Q rows are computed together against each
+   packed K/V load. *)
 let row_block = 4
+
+(* A raw dot as the kernel stores it: a score gets the oracle's prescale
+   and, under a mask, its [+. 0.0]; a d-alpha dot stays raw. *)
+let[@inline] finish ~scores ~prescale ~masking a =
+  if scores then
+    let s = prescale *. a in
+    if masking then s +. 0.0 else s
+  else a
+
+(* Row [roff..] of [row] dotted with columns [c0, c1) of [pan] (column c
+   at [c * nf]) into [dst.(doff + c)]; each dot is the ascending-feature
+   sum from 0.0. *)
+let dot_1 g ~scores ~pan ~row ~roff ~nf ~c0 ~c1 ~dst ~doff =
+  let prescale = g.prescale and masking = g.masking in
+  for c = c0 to c1 - 1 do
+    let k = c * nf in
+    let a = ref 0.0 in
+    for f = 0 to nf - 1 do
+      a := !a +. (Array.unsafe_get pan (k + f) *. Array.unsafe_get row (roff + f))
+    done;
+    Array.unsafe_set dst (doff + c) (finish ~scores ~prescale ~masking !a)
+  done
+
+(* The 4 rows of [rows] (row r at [r * nf]) dotted with columns [c0, c1)
+   of [pan] into [dst.(r * ds + c)]. Two columns per step: 6 loads feed 8
+   multiply-adds whose sums stay in registers. An odd last column goes
+   through [dot_1]. *)
+let dot_4x2 g ~scores ~pan ~rows ~nf ~c0 ~c1 ~dst ~ds =
+  let prescale = g.prescale and masking = g.masking in
+  let r1 = nf and r2 = 2 * nf and r3 = 3 * nf in
+  let c = ref c0 in
+  while !c + 1 < c1 do
+    let cv = !c in
+    let k0 = cv * nf in
+    let k1 = k0 + nf in
+    let a00 = ref 0.0 and a01 = ref 0.0 and a10 = ref 0.0 and a11 = ref 0.0 in
+    let a20 = ref 0.0 and a21 = ref 0.0 and a30 = ref 0.0 and a31 = ref 0.0 in
+    for f = 0 to nf - 1 do
+      let x0 = Array.unsafe_get pan (k0 + f)
+      and x1 = Array.unsafe_get pan (k1 + f) in
+      let q = Array.unsafe_get rows f in
+      a00 := !a00 +. (x0 *. q);
+      a01 := !a01 +. (x1 *. q);
+      let q = Array.unsafe_get rows (r1 + f) in
+      a10 := !a10 +. (x0 *. q);
+      a11 := !a11 +. (x1 *. q);
+      let q = Array.unsafe_get rows (r2 + f) in
+      a20 := !a20 +. (x0 *. q);
+      a21 := !a21 +. (x1 *. q);
+      let q = Array.unsafe_get rows (r3 + f) in
+      a30 := !a30 +. (x0 *. q);
+      a31 := !a31 +. (x1 *. q)
+    done;
+    Array.unsafe_set dst cv (finish ~scores ~prescale ~masking !a00);
+    Array.unsafe_set dst (cv + 1) (finish ~scores ~prescale ~masking !a01);
+    Array.unsafe_set dst (ds + cv) (finish ~scores ~prescale ~masking !a10);
+    Array.unsafe_set dst (ds + cv + 1) (finish ~scores ~prescale ~masking !a11);
+    Array.unsafe_set dst ((2 * ds) + cv) (finish ~scores ~prescale ~masking !a20);
+    Array.unsafe_set dst ((2 * ds) + cv + 1)
+      (finish ~scores ~prescale ~masking !a21);
+    Array.unsafe_set dst ((3 * ds) + cv) (finish ~scores ~prescale ~masking !a30);
+    Array.unsafe_set dst ((3 * ds) + cv + 1)
+      (finish ~scores ~prescale ~masking !a31);
+    c := cv + 2
+  done;
+  if !c < c1 then
+    for r = 0 to row_block - 1 do
+      dot_1 g ~scores ~pan ~row:rows ~roff:(r * nf) ~nf ~c0:!c ~c1 ~dst
+        ~doff:(r * ds)
+    done
+
+(* [dst.(doff + f) +=] the ascending-key sum over [k0, k1) of
+   [pan.(kk * nf + f) *. wts.(woff + kk)], for every feature f. *)
+let acc_1 ~pan ~nf ~wts ~woff ~k0 ~k1 ~dst ~doff =
+  for kk = k0 to k1 - 1 do
+    let w = Array.unsafe_get wts (woff + kk) in
+    let prow = kk * nf in
+    for f = 0 to nf - 1 do
+      Array.unsafe_set dst (doff + f)
+        (Array.unsafe_get dst (doff + f) +. (Array.unsafe_get pan (prow + f) *. w))
+    done
+  done
+
+(* Output-stationary [acc_1] for 4 rows (weights of row r at [r * ws],
+   outputs at [doff + r * ds]): two features per step hold 8 sums in
+   registers across the whole key range, 6 loads per 8 multiply-adds and
+   no stores until the range ends. An odd last feature runs per row. *)
+let acc_4x2 ~pan ~nf ~wts ~ws ~k0 ~k1 ~dst ~doff ~ds =
+  let w1 = ws and w2 = 2 * ws and w3 = 3 * ws in
+  let d1 = doff + ds and d2 = doff + (2 * ds) and d3 = doff + (3 * ds) in
+  let f = ref 0 in
+  while !f + 1 < nf do
+    let fv = !f in
+    let o00 = ref (Array.unsafe_get dst (doff + fv))
+    and o01 = ref (Array.unsafe_get dst (doff + fv + 1))
+    and o10 = ref (Array.unsafe_get dst (d1 + fv))
+    and o11 = ref (Array.unsafe_get dst (d1 + fv + 1))
+    and o20 = ref (Array.unsafe_get dst (d2 + fv))
+    and o21 = ref (Array.unsafe_get dst (d2 + fv + 1))
+    and o30 = ref (Array.unsafe_get dst (d3 + fv))
+    and o31 = ref (Array.unsafe_get dst (d3 + fv + 1)) in
+    for kk = k0 to k1 - 1 do
+      let v0 = Array.unsafe_get pan ((kk * nf) + fv)
+      and v1 = Array.unsafe_get pan ((kk * nf) + fv + 1) in
+      let w = Array.unsafe_get wts kk in
+      o00 := !o00 +. (v0 *. w);
+      o01 := !o01 +. (v1 *. w);
+      let w = Array.unsafe_get wts (w1 + kk) in
+      o10 := !o10 +. (v0 *. w);
+      o11 := !o11 +. (v1 *. w);
+      let w = Array.unsafe_get wts (w2 + kk) in
+      o20 := !o20 +. (v0 *. w);
+      o21 := !o21 +. (v1 *. w);
+      let w = Array.unsafe_get wts (w3 + kk) in
+      o30 := !o30 +. (v0 *. w);
+      o31 := !o31 +. (v1 *. w)
+    done;
+    Array.unsafe_set dst (doff + fv) !o00;
+    Array.unsafe_set dst (doff + fv + 1) !o01;
+    Array.unsafe_set dst (d1 + fv) !o10;
+    Array.unsafe_set dst (d1 + fv + 1) !o11;
+    Array.unsafe_set dst (d2 + fv) !o20;
+    Array.unsafe_set dst (d2 + fv + 1) !o21;
+    Array.unsafe_set dst (d3 + fv) !o30;
+    Array.unsafe_set dst (d3 + fv + 1) !o31;
+    f := fv + 2
+  done;
+  if !f < nf then begin
+    let fv = !f in
+    for r = 0 to row_block - 1 do
+      let o = ref (Array.unsafe_get dst (doff + (r * ds) + fv)) in
+      for kk = k0 to k1 - 1 do
+        o :=
+          !o
+          +. (Array.unsafe_get pan ((kk * nf) + fv)
+             *. Array.unsafe_get wts ((r * ws) + kk))
+      done;
+      Array.unsafe_set dst (doff + (r * ds) + fv) !o
+    done
+  end
+
+(* Rank-4 update of panel rows [k0, k1) (row kk at [kk * nf]): [dst]
+   gains, in ascending row order r, [wts.(r * ws + kk) *. src.(r * nf + f)]
+   for the 4 rows of [src]. Two panel rows per step share the 4 source
+   loads. This is dK (from Q and d-beta) and dV (from d-out and alpha;
+   IEEE products commute exactly, so the operand order inside a product
+   is free). *)
+let upd_4x2 ~src ~nf ~wts ~ws ~k0 ~k1 ~dst =
+  let s1 = nf and s2 = 2 * nf and s3 = 3 * nf in
+  let w1 = ws and w2 = 2 * ws and w3 = 3 * ws in
+  let kk = ref k0 in
+  while !kk < k1 do
+    let k = !kk in
+    if k + 1 < k1 then begin
+      let a0 = Array.unsafe_get wts k and b0 = Array.unsafe_get wts (k + 1) in
+      let a1 = Array.unsafe_get wts (w1 + k)
+      and b1 = Array.unsafe_get wts (w1 + k + 1) in
+      let a2 = Array.unsafe_get wts (w2 + k)
+      and b2 = Array.unsafe_get wts (w2 + k + 1) in
+      let a3 = Array.unsafe_get wts (w3 + k)
+      and b3 = Array.unsafe_get wts (w3 + k + 1) in
+      let da = k * nf in
+      let db = da + nf in
+      for f = 0 to nf - 1 do
+        let x0 = Array.unsafe_get src f
+        and x1 = Array.unsafe_get src (s1 + f)
+        and x2 = Array.unsafe_get src (s2 + f)
+        and x3 = Array.unsafe_get src (s3 + f) in
+        Array.unsafe_set dst (da + f)
+          (Array.unsafe_get dst (da + f)
+          +. (x0 *. a0) +. (x1 *. a1) +. (x2 *. a2) +. (x3 *. a3));
+        Array.unsafe_set dst (db + f)
+          (Array.unsafe_get dst (db + f)
+          +. (x0 *. b0) +. (x1 *. b1) +. (x2 *. b2) +. (x3 *. b3))
+      done;
+      kk := k + 2
+    end
+    else begin
+      let a0 = Array.unsafe_get wts k and a1 = Array.unsafe_get wts (w1 + k) in
+      let a2 = Array.unsafe_get wts (w2 + k) and a3 = Array.unsafe_get wts (w3 + k) in
+      let da = k * nf in
+      for f = 0 to nf - 1 do
+        Array.unsafe_set dst (da + f)
+          (Array.unsafe_get dst (da + f)
+          +. (Array.unsafe_get src f *. a0)
+          +. (Array.unsafe_get src (s1 + f) *. a1)
+          +. (Array.unsafe_get src (s2 + f) *. a2)
+          +. (Array.unsafe_get src (s3 + f) *. a3))
+      done;
+      kk := k + 1
+    end
+  done
+
+(* Scores of a row block against panel columns [0, km.(r)) of [kp], into
+   [dst] (row r at [r * ds]): the block's common prefix through
+   [dot_4x2], each row's tail through [dot_1]. *)
+let block_dots g ~scores ~pan ~rows ~nf ~km ~jn ~common ~dst ~ds =
+  if common > 0 then dot_4x2 g ~scores ~pan ~rows ~nf ~c0:0 ~c1:common ~dst ~ds;
+  for r = 0 to jn - 1 do
+    dot_1 g ~scores ~pan ~row:rows ~roff:(r * nf) ~nf ~c0:common ~c1:km.(r)
+      ~dst ~doff:(r * ds)
+  done
+
+(* [block_dots]'s counterpart for accumulations: outputs of row r at
+   [doff + r * ds] gain keys [0, km.(r)) of [pan] weighted by [wts] (row r
+   at [r * ws]). *)
+let block_acc ~pan ~nf ~wts ~ws ~km ~jn ~common ~dst ~doff ~ds =
+  if common > 0 then acc_4x2 ~pan ~nf ~wts ~ws ~k0:0 ~k1:common ~dst ~doff ~ds;
+  for r = 0 to jn - 1 do
+    acc_1 ~pan ~nf ~wts ~woff:(r * ws) ~k0:common ~k1:km.(r) ~dst
+      ~doff:(doff + (r * ds))
+  done
+
+(* Gather Q-side rows [j0, j0 + jn) of (h, b) into a contiguous block
+   (row r at [r * nf]) from data [d] with strides [str] for
+   (feat, heads, batch, seq). *)
+let load_rows (d : float array) (str : int array) ~h ~b ~j0 ~jn ~nf
+    (dst : float array) =
+  let sf = str.(0) in
+  for r = 0 to jn - 1 do
+    let base = (h * str.(1)) + (b * str.(2)) + ((j0 + r) * str.(3)) in
+    for f = 0 to nf - 1 do
+      Array.unsafe_set dst ((r * nf) + f) (Array.unsafe_get d (base + (f * sf)))
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Forward                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Exact path: the whole valid key range of each row in one tile, with
    per-element normalization before the V products — bitwise the naive
@@ -250,6 +482,7 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
     Arena.with_scratch Arena.global (kmax_tile * g.np) (fun kp ->
     Arena.with_scratch Arena.global (kmax_tile * g.nw) (fun vp ->
     Arena.with_scratch Arena.global (row_block * kmax_tile) (fun sb ->
+    Arena.with_scratch Arena.global kmax_tile (fun mb ->
     Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
     Arena.with_scratch Arena.global (row_block * g.nw) (fun ob ->
         pack_panel g.kd g.ks ~h ~b ~klo:0 ~khi:kmax_tile ~nf:g.np kp;
@@ -258,67 +491,19 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
         let nkt = kmax_tile in
         let km = Array.make row_block 0 in
         let ostep = g.nh * g.nb * g.nj in
-        let sp = g.qs.(0) in
         let j0 = ref qlo in
         while !j0 < qhi do
           let j0v = !j0 in
           let jn = min row_block (qhi - j0v) in
           for r = 0 to jn - 1 do
-            let jj = j0v + r in
-            km.(r) <- kmax_of g ~b ~jj;
-            let qbase = (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3)) in
-            for p = 0 to np - 1 do
-              Array.unsafe_set qb ((r * np) + p)
-                (Array.unsafe_get g.qd (qbase + (p * sp)))
-            done
+            km.(r) <- kmax_of g ~b ~jj:(j0v + r)
           done;
+          load_rows g.qd g.qs ~h ~b ~j0:j0v ~jn ~nf:np qb;
           (* [kmax] is nondecreasing in j, so row 0's range is the
-             block's common prefix; causal tails replay per row. *)
+             block's common prefix; causal tails finish per row. *)
           let common = if jn = row_block then km.(0) else 0 in
-          (* scores (ascending-p dots, prescale, the oracle's +. 0.0) *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let row = kk * np in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (row + p) in
-                a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-              done;
-              let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-              let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-              if g.masking then begin
-                Array.unsafe_set sb kk (s0 +. 0.0);
-                Array.unsafe_set sb (nkt + kk) (s1 +. 0.0);
-                Array.unsafe_set sb ((2 * nkt) + kk) (s2 +. 0.0);
-                Array.unsafe_set sb ((3 * nkt) + kk) (s3 +. 0.0)
-              end
-              else begin
-                Array.unsafe_set sb kk s0;
-                Array.unsafe_set sb (nkt + kk) s1;
-                Array.unsafe_set sb ((2 * nkt) + kk) s2;
-                Array.unsafe_set sb ((3 * nkt) + kk) s3
-              end
-            done;
-          for r = 0 to jn - 1 do
-            let qrow = r * np and srow = r * nkt in
-            for kk = common to km.(r) - 1 do
-              let row = kk * np in
-              let acc = ref 0.0 in
-              for p = 0 to np - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get kp (row + p)
-                     *. Array.unsafe_get qb (qrow + p))
-              done;
-              let s = g.prescale *. !acc in
-              Array.unsafe_set sb (srow + kk)
-                (if g.masking then s +. 0.0 else s)
-            done
-          done;
+          block_dots g ~scores:true ~pan:kp ~rows:qb ~nf:np ~km ~jn ~common
+            ~dst:sb ~ds:nkt;
           (* per-row softmax (max, exp, sum, normalize) and dropout:
              scores become probabilities in place *)
           for r = 0 to jn - 1 do
@@ -331,11 +516,8 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
             end
             else begin
               let srow = r * nkt in
-              let mx = ref neg_infinity in
-              for kk = 0 to kmr - 1 do
-                mx := Float.max !mx (Array.unsafe_get sb (srow + kk))
-              done;
-              let nm = -1.0 *. !mx in
+              let mx = Fmax.fold neg_infinity sb ~off:srow ~len:kmr in
+              let nm = -1.0 *. mx in
               let s = ref 0.0 in
               for kk = 0 to kmr - 1 do
                 let ev = exp (Array.unsafe_get sb (srow + kk) +. nm) in
@@ -343,52 +525,29 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
                 s := !s +. ev
               done;
               let inv = 1.0 /. !s in
-              let ebase = ((((h * g.nb) + b) * g.nj) + jj) * g.nk in
-              for kk = 0 to kmr - 1 do
-                let alpha = Array.unsafe_get sb (srow + kk) *. inv in
-                let alpha =
-                  if g.drop_p > 0.0 then alpha *. mask_at g (ebase + kk)
-                  else alpha
-                in
-                Array.unsafe_set sb (srow + kk) alpha
-              done;
+              if g.drop_p > 0.0 then begin
+                fill_mask g ~first:(((((h * g.nb) + b) * g.nj) + jj) * g.nk)
+                  mb ~off:0 ~len:kmr;
+                for kk = 0 to kmr - 1 do
+                  Array.unsafe_set sb (srow + kk)
+                    (Array.unsafe_get sb (srow + kk) *. inv
+                    *. Array.unsafe_get mb kk)
+                done
+              end
+              else
+                for kk = 0 to kmr - 1 do
+                  Array.unsafe_set sb (srow + kk)
+                    (Array.unsafe_get sb (srow + kk) *. inv)
+                done;
               match lsed with
-              | Some l -> l.((((h * g.nb) + b) * g.nj) + jj) <- !mx +. log !s
+              | Some l -> l.((((h * g.nb) + b) * g.nj) + jj) <- mx +. log !s
               | None -> ()
             end
           done;
-          (* context accumulation: block-local output rows, ascending k *)
+          (* context rows, ascending k from 0.0 *)
           Array.fill ob 0 (jn * nw) 0.0;
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let vrow = kk * nw in
-              let a0 = Array.unsafe_get sb kk
-              and a1 = Array.unsafe_get sb (nkt + kk)
-              and a2 = Array.unsafe_get sb ((2 * nkt) + kk)
-              and a3 = Array.unsafe_get sb ((3 * nkt) + kk) in
-              for w = 0 to nw - 1 do
-                let vv = Array.unsafe_get vp (vrow + w) in
-                Array.unsafe_set ob w (Array.unsafe_get ob w +. (vv *. a0));
-                Array.unsafe_set ob (nw + w)
-                  (Array.unsafe_get ob (nw + w) +. (vv *. a1));
-                Array.unsafe_set ob ((2 * nw) + w)
-                  (Array.unsafe_get ob ((2 * nw) + w) +. (vv *. a2));
-                Array.unsafe_set ob ((3 * nw) + w)
-                  (Array.unsafe_get ob ((3 * nw) + w) +. (vv *. a3))
-              done
-            done;
-          for r = 0 to jn - 1 do
-            let srow = r * nkt and orow = r * nw in
-            for kk = common to km.(r) - 1 do
-              let alpha = Array.unsafe_get sb (srow + kk) in
-              let vrow = kk * nw in
-              for w = 0 to nw - 1 do
-                Array.unsafe_set ob (orow + w)
-                  (Array.unsafe_get ob (orow + w)
-                  +. (Array.unsafe_get vp (vrow + w) *. alpha))
-              done
-            done
-          done;
+          block_acc ~pan:vp ~nf:nw ~wts:sb ~ws:nkt ~km ~jn ~common ~dst:ob
+            ~doff:0 ~ds:nw;
           (* commit the block's context rows (owned by this item) *)
           for r = 0 to jn - 1 do
             let obase = (h * g.nb * g.nj) + (b * g.nj) + j0v + r in
@@ -398,20 +557,20 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
             done
           done;
           j0 := j0v + jn
-        done)))))
+        done))))))
   end
 
 (* Online path: KV tiles streamed with running row max/sum; normalization
    deferred to the end (within ulps of the oracle). Q rows move through
-   each tile in register blocks: the score dots and V products for the
-   block's common key prefix are 1-load / 4-FMA loops; the running
-   max/sum/rescale bookkeeping stays strictly per-row, so values are
-   identical to a row-at-a-time walk. *)
+   each tile in register blocks; the running max/sum/rescale bookkeeping
+   stays strictly per-row, so values are identical to a row-at-a-time
+   walk. *)
 let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
   let nq = qhi - qlo in
   Arena.with_scratch Arena.global (kvt * g.np) (fun kp ->
   Arena.with_scratch Arena.global (kvt * g.nw) (fun vp ->
   Arena.with_scratch Arena.global (row_block * kvt) (fun sb ->
+  Arena.with_scratch Arena.global kvt (fun mb ->
   Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
   Arena.with_scratch Arena.global nq (fun m ->
   Arena.with_scratch Arena.global nq (fun s ->
@@ -424,7 +583,6 @@ let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
       let nkv = (g.nk + kvt - 1) / kvt in
       let np = g.np and nw = g.nw in
       let nv = Array.make row_block 0 in
-      let sp = g.qs.(0) in
       for t = 0 to nkv - 1 do
         let klo = t * kvt in
         if klo >= kmax_tile then Atomic.incr skipped
@@ -438,63 +596,14 @@ let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
             let j0v = !j0 in
             let jn = min row_block (nq - j0v) in
             for r = 0 to jn - 1 do
-              let jj = qlo + j0v + r in
-              nv.(r) <- max 0 (min khi (kmax_of g ~b ~jj) - klo);
-              let qbase =
-                (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3))
-              in
-              for p = 0 to np - 1 do
-                Array.unsafe_set qb ((r * np) + p)
-                  (Array.unsafe_get g.qd (qbase + (p * sp)))
-              done
+              nv.(r) <- max 0 (min khi (kmax_of g ~b ~jj:(qlo + j0v + r)) - klo)
             done;
+            load_rows g.qd g.qs ~h ~b ~j0:(qlo + j0v) ~jn ~nf:np qb;
             (* [kmax] is nondecreasing in j: row 0's in-tile key count is
-               the block's common prefix; an inactive row 0 forces the
-               whole block onto the scalar path. *)
+               the block's common prefix *)
             let common = if jn = row_block then nv.(0) else 0 in
-            if common > 0 then
-              for kk = 0 to common - 1 do
-                let row = kk * np in
-                let a0 = ref 0.0 and a1 = ref 0.0 in
-                let a2 = ref 0.0 and a3 = ref 0.0 in
-                for p = 0 to np - 1 do
-                  let kv = Array.unsafe_get kp (row + p) in
-                  a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                  a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                  a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                  a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-                done;
-                let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-                let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-                if g.masking then begin
-                  Array.unsafe_set sb kk (s0 +. 0.0);
-                  Array.unsafe_set sb (kvt + kk) (s1 +. 0.0);
-                  Array.unsafe_set sb ((2 * kvt) + kk) (s2 +. 0.0);
-                  Array.unsafe_set sb ((3 * kvt) + kk) (s3 +. 0.0)
-                end
-                else begin
-                  Array.unsafe_set sb kk s0;
-                  Array.unsafe_set sb (kvt + kk) s1;
-                  Array.unsafe_set sb ((2 * kvt) + kk) s2;
-                  Array.unsafe_set sb ((3 * kvt) + kk) s3
-                end
-              done;
-            for r = 0 to jn - 1 do
-              let qrow = r * np and srow = r * kvt in
-              for kk = common to nv.(r) - 1 do
-                let row = kk * np in
-                let a = ref 0.0 in
-                for p = 0 to np - 1 do
-                  a :=
-                    !a
-                    +. (Array.unsafe_get kp (row + p)
-                       *. Array.unsafe_get qb (qrow + p))
-                done;
-                let sv = g.prescale *. !a in
-                Array.unsafe_set sb (srow + kk)
-                  (if g.masking then sv +. 0.0 else sv)
-              done
-            done;
+            block_dots g ~scores:true ~pan:kp ~rows:qb ~nf:np ~km:nv ~jn
+              ~common ~dst:sb ~ds:kvt;
             (* per-row: running max, rescale, exp/sum; scores become
                dropout-masked probabilities in place *)
             for r = 0 to jn - 1 do
@@ -504,11 +613,7 @@ let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
                 let jj = qlo + j in
                 let srow = r * kvt in
                 let mold = Array.unsafe_get m j in
-                let mx = ref mold in
-                for kk = 0 to n - 1 do
-                  mx := Float.max !mx (Array.unsafe_get sb (srow + kk))
-                done;
-                let mnew = !mx in
+                let mnew = Fmax.fold mold sb ~off:srow ~len:n in
                 let nm = -1.0 *. mnew in
                 if mnew > mold then begin
                   (* rescale running sum and accumulator; exp(-inf) = 0
@@ -521,57 +626,29 @@ let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
                       (Array.unsafe_get acc (arow + w) *. c)
                   done
                 end;
-                let ebase = ((((h * g.nb) + b) * g.nj) + jj) * g.nk in
+                let sj = ref (Array.unsafe_get s j) in
                 for kk = 0 to n - 1 do
                   let ev = exp (Array.unsafe_get sb (srow + kk) +. nm) in
-                  Array.unsafe_set s j (Array.unsafe_get s j +. ev);
-                  Array.unsafe_set sb (srow + kk)
-                    (if g.drop_p > 0.0 then
-                       ev *. mask_at g (ebase + klo + kk)
-                     else ev)
+                  sj := !sj +. ev;
+                  Array.unsafe_set sb (srow + kk) ev
                 done;
+                Array.unsafe_set s j !sj;
+                if g.drop_p > 0.0 then begin
+                  fill_mask g
+                    ~first:(((((h * g.nb) + b) * g.nj) + jj) * g.nk + klo)
+                    mb ~off:0 ~len:n;
+                  for kk = 0 to n - 1 do
+                    Array.unsafe_set sb (srow + kk)
+                      (Array.unsafe_get sb (srow + kk) *. Array.unsafe_get mb kk)
+                  done
+                end;
                 Array.unsafe_set m j mnew
               end
             done;
             (* V products: each row's accumulator advances in ascending k
                exactly as the scalar walk does *)
-            let abase = j0v * nw in
-            if common > 0 then
-              for kk = 0 to common - 1 do
-                let vrow = kk * nw in
-                let p0 = Array.unsafe_get sb kk
-                and p1 = Array.unsafe_get sb (kvt + kk)
-                and p2 = Array.unsafe_get sb ((2 * kvt) + kk)
-                and p3 = Array.unsafe_get sb ((3 * kvt) + kk) in
-                for w = 0 to nw - 1 do
-                  let vv = Array.unsafe_get vp (vrow + w) in
-                  let o0 = abase + w in
-                  Array.unsafe_set acc o0
-                    (Array.unsafe_get acc o0 +. (vv *. p0));
-                  let o1 = abase + nw + w in
-                  Array.unsafe_set acc o1
-                    (Array.unsafe_get acc o1 +. (vv *. p1));
-                  let o2 = abase + (2 * nw) + w in
-                  Array.unsafe_set acc o2
-                    (Array.unsafe_get acc o2 +. (vv *. p2));
-                  let o3 = abase + (3 * nw) + w in
-                  Array.unsafe_set acc o3
-                    (Array.unsafe_get acc o3 +. (vv *. p3))
-                done
-              done;
-            for r = 0 to jn - 1 do
-              let srow = r * kvt in
-              let arow = (j0v + r) * nw in
-              for kk = common to nv.(r) - 1 do
-                let pelt = Array.unsafe_get sb (srow + kk) in
-                let vrow = kk * nw in
-                for w = 0 to nw - 1 do
-                  Array.unsafe_set acc (arow + w)
-                    (Array.unsafe_get acc (arow + w)
-                    +. (Array.unsafe_get vp (vrow + w) *. pelt))
-                done
-              done
-            done;
+            block_acc ~pan:vp ~nf:nw ~wts:sb ~ws:kvt ~km:nv ~jn ~common
+              ~dst:acc ~doff:(j0v * nw) ~ds:nw;
             j0 := j0v + jn
           done
         end
@@ -595,7 +672,7 @@ let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
               (if sj > 0.0 then Array.unsafe_get m j +. log sj
                else neg_infinity)
         | None -> ()
-      done)))))))
+      done))))))))
 
 let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
     ~prescale ~q ~k ~v () =
@@ -650,12 +727,12 @@ let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
 
 (* One (h, b) work item: streams Q-row blocks against packed K/V panels,
    recomputing scores and probabilities. Scratch is O(L * d): the panels
-   plus four K-length row buffers (probabilities, d-probabilities,
-   dropout masks). dK/dV accumulate over rows in ascending j — additions
-   sharing a destination are nested in ascending row order and the
-   causal tail of each block replays rows one at a time, so blocked runs
-   are bitwise identical to a row-at-a-time walk (and items own disjoint
-   (h, b) slabs, so sharding is bitwise too). *)
+   plus K-length row buffers (probabilities, d-probabilities, dropout
+   masks). dK/dV accumulate over rows in ascending j — additions sharing
+   a destination are nested in ascending row order and the causal tail of
+   each block replays rows one at a time, so blocked runs are bitwise
+   identical to a row-at-a-time walk (and items own disjoint (h, b)
+   slabs, so sharding is bitwise too). *)
 let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
   let nk = kmax_of g ~b ~jj:(g.nj - 1) in
   (* widest key range any row of this slot touches *)
@@ -673,75 +750,25 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
         pack_panel g.kd g.ks ~h ~b ~klo:0 ~khi:nk ~nf:g.np kp;
         pack_panel g.vd g.vs ~h ~b ~klo:0 ~khi:nk ~nf:g.nw vp;
         let np = g.np and nw = g.nw in
+        let drop = g.drop_p > 0.0 in
         let km = Array.make row_block 0 in
         let dqstep = g.nh * g.nb * g.nj in
-        let sp = g.qs.(0) and sw = dgs.(0) in
         let j0 = ref 0 in
         while !j0 < g.nj do
           let j0v = !j0 in
           let jn = min row_block (g.nj - j0v) in
           for r = 0 to jn - 1 do
-            let jj = j0v + r in
-            km.(r) <- kmax_of g ~b ~jj;
-            let qbase = (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3)) in
-            let dgbase = (h * dgs.(1)) + (b * dgs.(2)) + (jj * dgs.(3)) in
-            for p = 0 to np - 1 do
-              Array.unsafe_set qb ((r * np) + p)
-                (Array.unsafe_get g.qd (qbase + (p * sp)))
-            done;
-            for w = 0 to nw - 1 do
-              Array.unsafe_set dgb ((r * nw) + w)
-                (Array.unsafe_get dgd (dgbase + (w * sw)))
-            done
+            km.(r) <- kmax_of g ~b ~jj:(j0v + r)
           done;
+          load_rows g.qd g.qs ~h ~b ~j0:j0v ~jn ~nf:np qb;
+          load_rows dgd dgs ~h ~b ~j0:j0v ~jn ~nf:nw dgb;
           (* [kmax] is nondecreasing in j (causal widens, valid is
              per-slot), so row 0's range is the block's common prefix;
-             the causal tail is replayed per row below. *)
+             the causal tail is finished per row. *)
           let common = if jn = row_block then km.(0) else 0 in
           (* scores (ascending-p dots, prescale, the oracle's +. 0.0) *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let row = kk * np in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (row + p) in
-                a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-              done;
-              let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-              let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-              if g.masking then begin
-                Array.unsafe_set yb kk (s0 +. 0.0);
-                Array.unsafe_set yb (nk + kk) (s1 +. 0.0);
-                Array.unsafe_set yb ((2 * nk) + kk) (s2 +. 0.0);
-                Array.unsafe_set yb ((3 * nk) + kk) (s3 +. 0.0)
-              end
-              else begin
-                Array.unsafe_set yb kk s0;
-                Array.unsafe_set yb (nk + kk) s1;
-                Array.unsafe_set yb ((2 * nk) + kk) s2;
-                Array.unsafe_set yb ((3 * nk) + kk) s3
-              end
-            done;
-          for r = 0 to jn - 1 do
-            let qrow = r * np and yrow = r * nk in
-            for kk = common to km.(r) - 1 do
-              let row = kk * np in
-              let acc = ref 0.0 in
-              for p = 0 to np - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get kp (row + p)
-                     *. Array.unsafe_get qb (qrow + p))
-              done;
-              let s = g.prescale *. !acc in
-              Array.unsafe_set yb (yrow + kk)
-                (if g.masking then s +. 0.0 else s)
-            done
-          done;
+          block_dots g ~scores:true ~pan:kp ~rows:qb ~nf:np ~km ~jn ~common
+            ~dst:yb ~ds:nk;
           (* y_k = exp(score - lse): the probabilities, recomputed *)
           for r = 0 to jn - 1 do
             let kmr = km.(r) in
@@ -752,16 +779,13 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
                 match lsed with
                 | Some l -> l.((((h * g.nb) + b) * g.nj) + jj)
                 | None ->
-                    let mx = ref neg_infinity in
-                    for kk = 0 to kmr - 1 do
-                      mx := Float.max !mx (Array.unsafe_get yb (yrow + kk))
-                    done;
-                    let nm = -1.0 *. !mx in
+                    let mx = Fmax.fold neg_infinity yb ~off:yrow ~len:kmr in
+                    let nm = -1.0 *. mx in
                     let s = ref 0.0 in
                     for kk = 0 to kmr - 1 do
                       s := !s +. exp (Array.unsafe_get yb (yrow + kk) +. nm)
                     done;
-                    !mx +. log !s
+                    mx +. log !s
               in
               let nlse = -1.0 *. lse_j in
               for kk = 0 to kmr - 1 do
@@ -771,70 +795,21 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
             end
           done;
           (* d_alpha_k = sum_w v . d_out (gamma_dx1), then through the
-             dropout mask (dropout_dx); the mask element is drawn once
-             per (row, k) and kept for the dV alpha below. A missing
-             dropout behaves as mask 1.0 ([x *. 1.0] is exact). *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let vrow = kk * nw in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for w = 0 to nw - 1 do
-                let vv = Array.unsafe_get vp (vrow + w) in
-                a0 := !a0 +. (vv *. Array.unsafe_get dgb w);
-                a1 := !a1 +. (vv *. Array.unsafe_get dgb (nw + w));
-                a2 := !a2 +. (vv *. Array.unsafe_get dgb ((2 * nw) + w));
-                a3 := !a3 +. (vv *. Array.unsafe_get dgb ((3 * nw) + w))
-              done;
-              let m0 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v) * g.nk) + kk)
-                else 1.0
-              and m1 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 1) * g.nk) + kk)
-                else 1.0
-              and m2 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 2) * g.nk) + kk)
-                else 1.0
-              and m3 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 3) * g.nk) + kk)
-                else 1.0
-              in
-              Array.unsafe_set mb kk m0;
-              Array.unsafe_set mb (nk + kk) m1;
-              Array.unsafe_set mb ((2 * nk) + kk) m2;
-              Array.unsafe_set mb ((3 * nk) + kk) m3;
-              Array.unsafe_set db kk (!a0 *. m0);
-              Array.unsafe_set db (nk + kk) (!a1 *. m1);
-              Array.unsafe_set db ((2 * nk) + kk) (!a2 *. m2);
-              Array.unsafe_set db ((3 * nk) + kk) (!a3 *. m3)
+             dropout mask (dropout_dx); the mask row is kept for the dV
+             alpha below. Without dropout the mask is 1.0 everywhere and
+             [x *. 1.0] is [x], so the multiplies are skipped. *)
+          block_dots g ~scores:false ~pan:vp ~rows:dgb ~nf:nw ~km ~jn ~common
+            ~dst:db ~ds:nk;
+          if drop then
+            for r = 0 to jn - 1 do
+              let yrow = r * nk in
+              fill_mask g ~first:(((((h * g.nb) + b) * g.nj) + j0v + r) * g.nk)
+                mb ~off:yrow ~len:km.(r);
+              for kk = yrow to yrow + km.(r) - 1 do
+                Array.unsafe_set db kk
+                  (Array.unsafe_get db kk *. Array.unsafe_get mb kk)
+              done
             done;
-          for r = 0 to jn - 1 do
-            let grow = r * nw and yrow = r * nk in
-            let ebase = ((((h * g.nb) + b) * g.nj) + j0v + r) * g.nk in
-            for kk = common to km.(r) - 1 do
-              let vrow = kk * nw in
-              let acc = ref 0.0 in
-              for w = 0 to nw - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get vp (vrow + w)
-                     *. Array.unsafe_get dgb (grow + w))
-              done;
-              let maskv =
-                if g.drop_p > 0.0 then mask_at g (ebase + kk) else 1.0
-              in
-              Array.unsafe_set mb (yrow + kk) maskv;
-              Array.unsafe_set db (yrow + kk) (!acc *. maskv)
-            done
-          done;
           (* softmax_dx per row: rowsum of dy*y, then
              prescale * y * (dy - rowsum); alpha = y through the mask *)
           for r = 0 to jn - 1 do
@@ -849,53 +824,19 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
                      *. Array.unsafe_get yb (yrow + kk))
               done;
               let ns = -1.0 *. !rs in
-              for kk = 0 to kmr - 1 do
-                let y = Array.unsafe_get yb (yrow + kk) in
-                Array.unsafe_set db (yrow + kk)
-                  (g.prescale *. (y *. (Array.unsafe_get db (yrow + kk) +. ns)));
-                Array.unsafe_set yb (yrow + kk)
-                  (y *. Array.unsafe_get mb (yrow + kk))
+              for kk = yrow to yrow + kmr - 1 do
+                let y = Array.unsafe_get yb kk in
+                Array.unsafe_set db kk
+                  (g.prescale *. (y *. (Array.unsafe_get db kk +. ns)));
+                if drop then Array.unsafe_set yb kk (y *. Array.unsafe_get mb kk)
               done
             end
           done;
-          (* accumulate dq (block-local rows), dk, dv *)
-          Array.fill dqb 0 (jn * np) 0.0;
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let krow = kk * np and vrow = kk * nw in
-              let b0 = Array.unsafe_get db kk
-              and b1 = Array.unsafe_get db (nk + kk)
-              and b2 = Array.unsafe_get db ((2 * nk) + kk)
-              and b3 = Array.unsafe_get db ((3 * nk) + kk) in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (krow + p) in
-                Array.unsafe_set dk (krow + p)
-                  (Array.unsafe_get dk (krow + p)
-                  +. (Array.unsafe_get qb p *. b0)
-                  +. (Array.unsafe_get qb (np + p) *. b1)
-                  +. (Array.unsafe_get qb ((2 * np) + p) *. b2)
-                  +. (Array.unsafe_get qb ((3 * np) + p) *. b3));
-                Array.unsafe_set dqb p (Array.unsafe_get dqb p +. (kv *. b0));
-                Array.unsafe_set dqb (np + p)
-                  (Array.unsafe_get dqb (np + p) +. (kv *. b1));
-                Array.unsafe_set dqb ((2 * np) + p)
-                  (Array.unsafe_get dqb ((2 * np) + p) +. (kv *. b2));
-                Array.unsafe_set dqb ((3 * np) + p)
-                  (Array.unsafe_get dqb ((3 * np) + p) +. (kv *. b3))
-              done;
-              let a0 = Array.unsafe_get yb kk
-              and a1 = Array.unsafe_get yb (nk + kk)
-              and a2 = Array.unsafe_get yb ((2 * nk) + kk)
-              and a3 = Array.unsafe_get yb ((3 * nk) + kk) in
-              for w = 0 to nw - 1 do
-                Array.unsafe_set dv (vrow + w)
-                  (Array.unsafe_get dv (vrow + w)
-                  +. (a0 *. Array.unsafe_get dgb w)
-                  +. (a1 *. Array.unsafe_get dgb (nw + w))
-                  +. (a2 *. Array.unsafe_get dgb ((2 * nw) + w))
-                  +. (a3 *. Array.unsafe_get dgb ((3 * nw) + w)))
-              done
-            done;
+          (* accumulate dk, dv over the block's rows *)
+          if common > 0 then begin
+            upd_4x2 ~src:qb ~nf:np ~wts:db ~ws:nk ~k0:0 ~k1:common ~dst:dk;
+            upd_4x2 ~src:dgb ~nf:nw ~wts:yb ~ws:nk ~k0:0 ~k1:common ~dst:dv
+          end;
           for r = 0 to jn - 1 do
             let yrow = r * nk and qrow = r * np and grow = r * nw in
             for kk = common to km.(r) - 1 do
@@ -904,10 +845,7 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
               for p = 0 to np - 1 do
                 Array.unsafe_set dk (krow + p)
                   (Array.unsafe_get dk (krow + p)
-                  +. (Array.unsafe_get qb (qrow + p) *. bv));
-                Array.unsafe_set dqb (qrow + p)
-                  (Array.unsafe_get dqb (qrow + p)
-                  +. (Array.unsafe_get kp (krow + p) *. bv))
+                  +. (Array.unsafe_get qb (qrow + p) *. bv))
               done;
               let av = Array.unsafe_get yb (yrow + kk) in
               for w = 0 to nw - 1 do
@@ -917,6 +855,10 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
               done
             done
           done;
+          (* dq rows (block-local), ascending k from 0.0 *)
+          Array.fill dqb 0 (jn * np) 0.0;
+          block_acc ~pan:kp ~nf:np ~wts:db ~ws:nk ~km ~jn ~common ~dst:dqb
+            ~doff:0 ~ds:np;
           (* commit the block's dq rows (each row owned by this item) *)
           for r = 0 to jn - 1 do
             let dqbase = (h * g.nb * g.nj) + (b * g.nj) + j0v + r in

@@ -18,9 +18,9 @@
     flips, per-element normalization before the V products). With smaller
     tiles the online renormalization reassociates the same sums, so
     results agree within a few ulps per row. Dropout is counter-based
-    ({!Prng.float_at}): tiles draw mask elements at arbitrary positions
-    yet agree bitwise with the sequential mask walk of
-    [Elementwise.dropout_mask].
+    ({!Prng.fill_mask}): tiles draw mask rows at arbitrary positions yet
+    agree bitwise with the sequential mask walk of
+    [Elementwise.dropout_mask], which draws from the same primitive.
 
     Parallelism: the forward shards over (head, batch, Q-tile), the
     backward over (head, batch); work items write disjoint output slabs

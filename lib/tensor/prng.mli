@@ -21,12 +21,19 @@ val next_int64 : t -> int64
 (** [float t] draws uniformly from [0, 1). *)
 val float : t -> float
 
-(** [float_at t i] is the value the [(i+1)]-th {!float} call on [t] would
-    return, without advancing the state: splitmix64 is counter-based, so
-    draw [i] is a pure finalization of [state + (i+1)*gamma]. Tiled
-    kernels use this to sample a mask stream at arbitrary positions while
-    agreeing bitwise with a sequential walk. *)
-val float_at : t -> int -> float
+(** [fill_mask t ~p ~scale ~first dst ~off ~len] writes the dropout mask
+    of draws [first .. first + len - 1] of [t]'s stream into
+    [dst.(off) .. dst.(off + len - 1)]: [0.0] where the draw is below [p],
+    [scale] elsewhere — bitwise what [len] sequential [bernoulli t ~p]
+    calls give after [first] draws, without advancing [t]. splitmix64 is
+    counter-based (draw [i] is a pure finalization of
+    [state + (i+1)*gamma]), so tiled kernels can fill any window of the
+    stream in any order. This is the one mask primitive every dropout
+    kernel draws from; it neither allocates nor calls C per element.
+    Raises [Invalid_argument] when the range leaves [dst]. *)
+val fill_mask :
+  t -> p:float -> scale:float -> first:int -> float array -> off:int ->
+  len:int -> unit
 
 (** [uniform t ~lo ~hi] draws uniformly from [lo, hi). *)
 val uniform : t -> lo:float -> hi:float -> float

@@ -286,6 +286,39 @@ let test_trace_peak_after_plan () =
   check_int "prepack row keeps the planned peak" (peak "memory-plan")
     (peak "prepack")
 
+(* Rows before the memory plan count what the planner calls its naive
+   peak (every written container; caller-owned inputs excluded), so the
+   row the plan starts from reads the "before" number of its note. *)
+let test_trace_peak_before_plan () =
+  let plan =
+    Compile.Compiled.compile ~device ~use_cache:false
+      ~name_table:Transformer.Encoder.kernel_names
+      ~params:Transformer.Encoder.param_names
+      {
+        (Compile.Regime.current ~attention:true ()) with
+        Compile.Regime.plan_memory = true;
+      }
+      (Transformer.Encoder.program tiny)
+  in
+  let rec split_at_plan before = function
+    | [] -> Alcotest.fail "no memory-plan row in the pass trace"
+    | (s : Compile.Pass.stat) :: rest ->
+        if String.equal s.Compile.Pass.st_pass "memory-plan" then
+          (List.rev before, s)
+        else split_at_plan (s :: before) rest
+  in
+  let pre, mp = split_at_plan [] plan.Compile.Compiled.trace in
+  let note_before =
+    Scanf.sscanf mp.Compile.Pass.st_note "%d slot(s), peak %d -> %d"
+      (fun _ before _ -> before)
+  in
+  let last = List.nth pre (List.length pre - 1) in
+  check_int "the row the plan starts from reads the note's naive peak"
+    note_before last.Compile.Pass.st_peak_floats;
+  check_int "the note's naive peak is Memplan's definition"
+    (Ops.Memplan.naive_peak_floats plan.Compile.Compiled.program)
+    note_before
+
 (* ---------------- environment parsing (Substation.Env) --------------- *)
 
 let test_env_parse () =
@@ -369,6 +402,8 @@ let () =
         [
           Alcotest.test_case "peak column carries the memory plan" `Quick
             test_trace_peak_after_plan;
+          Alcotest.test_case "pre-plan rows use the planner's naive peak"
+            `Quick test_trace_peak_before_plan;
         ] );
       ( "env",
         [ Alcotest.test_case "single parse point, loud typos" `Quick test_env_parse ] );

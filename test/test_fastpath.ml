@@ -200,6 +200,96 @@ let test_dropout_masks_bitwise () =
     env_naive;
   check_bool "at least one dropout mask compared" true (!masks > 0)
 
+(* ---------------- element-wise chains ---------------- *)
+
+module E = Ops.Elementwise
+
+(* bias -> ReLU -> dropout -> residual add over [dims], the encoder's BRD
+   interior plus one more operand. *)
+let brd_chain dims ~bias_axes ~residual =
+  [
+    E.bias ~name:"b" ~x:"x" ~bias:"bv" ~out:"xb" dims ~bias_axes ();
+    E.relu ~name:"r" ~x:"xb" ~out:"xr" dims ();
+    E.dropout ~name:"d" ~x:"xr" ~out:"xd" ~mask:"mask" dims ~p:0.2 ~seed:9L ();
+  ]
+  @
+  if residual then [ E.add ~name:"a" ~x:"xd" ~y:"res" ~out:"y" dims () ]
+  else []
+
+let run_group members ~external_writes env =
+  match Ops.Fastpath.compile_group ~external_writes members with
+  | Some run -> run env
+  | None -> Alcotest.fail "chain did not compile"
+
+(* Chains longer than one block, with the bias broadcast along a middle
+   axis and the residual in a shuffled storage order, so strided operands
+   are gathered across block and row boundaries: fast equals the naive
+   constructors bitwise. *)
+let prop_chain_layouts =
+  QCheck.Test.make ~name:"element-wise chain: strided operands, fast = naive"
+    ~count:25
+    QCheck.(triple (int_range 1 5) (int_range 1 40) (int_range 1 70))
+    (fun (i, b, j) ->
+      let prng = Prng.create (Int64.of_int ((i * 7919) + (b * 97) + j)) in
+      let dims = [ ("i", i); ("b", b); ("j", j) ] in
+      let x = Dense.rand prng dims ~lo:(-1.0) ~hi:1.0 in
+      let x = Dense.permute x (shuffle_list prng (Dense.axes x)) in
+      let res = Dense.rand prng dims ~lo:(-1.0) ~hi:1.0 in
+      let res = Dense.permute res (shuffle_list prng (Dense.axes res)) in
+      let bv = Dense.rand prng [ ("b", b) ] ~lo:(-0.5) ~hi:0.5 in
+      let members = brd_chain dims ~bias_axes:[ "b" ] ~residual:true in
+      let outs = [ "xr"; "mask"; "y" ] in
+      let run fast =
+        let env = Ops.Op.env_of_list [ ("x", x); ("bv", bv); ("res", res) ] in
+        Fastmode.with_mode fast (fun () ->
+            if fast then run_group members ~external_writes:outs env
+            else List.iter (fun (m : Ops.Op.t) -> m.Ops.Op.run env) members);
+        List.map (Ops.Op.lookup env) outs
+      in
+      List.for_all2
+        (fun a b ->
+          let b = Dense.align b a in
+          Array.for_all2
+            (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+            (Dense.unsafe_data a) (Dense.unsafe_data b))
+        (run false) (run true))
+
+(* Minor-heap words per element of [f ()], measured on one domain after a
+   warm-up call (so arena scratch is already pooled). *)
+let words_per_element n f =
+  Fastmode.with_domains 1 (fun () ->
+      f ();
+      let w0 = Gc.minor_words () in
+      f ();
+      (Gc.minor_words () -. w0) /. float_of_int n)
+
+let test_dropout_mask_allocation () =
+  let dims = [ ("h", 4); ("j", 128); ("k", 128) ] in
+  let n = 4 * 128 * 128 in
+  let w =
+    words_per_element n (fun () ->
+        ignore (E.dropout_mask ~seed:3L ~name:"attn_dropout" dims ~p:0.1))
+  in
+  check_bool (Printf.sprintf "dropout_mask: %.3f minor words/element < 1" w)
+    true (w < 1.0)
+
+let test_chain_allocation () =
+  let dims = [ ("u", 256); ("b", 2); ("j", 64) ] in
+  let n = 256 * 2 * 64 in
+  let prng = Prng.create 4L in
+  let x = Dense.rand prng dims ~lo:(-1.0) ~hi:1.0 in
+  let bv = Dense.rand prng [ ("u", 256) ] ~lo:(-0.5) ~hi:0.5 in
+  let members = brd_chain dims ~bias_axes:[ "u" ] ~residual:false in
+  let env = Ops.Op.env_of_list [ ("x", x); ("bv", bv) ] in
+  let w =
+    words_per_element n (fun () ->
+        Fastmode.with_mode true (fun () ->
+            run_group members ~external_writes:[ "xd"; "mask" ] env))
+  in
+  check_bool
+    (Printf.sprintf "bias -> relu -> dropout chain: %.3f minor words/element < 1" w)
+    true (w < 1.0)
+
 (* ---------------- standalone reduction kernels ---------------- *)
 
 (* Softmax over a permuted-layout input with explicit -inf entries (an
@@ -292,6 +382,14 @@ let () =
             test_encoder_rectangular;
           Alcotest.test_case "dropout masks bitwise" `Quick
             test_dropout_masks_bitwise;
+        ] );
+      ( "element-wise chains",
+        [
+          q prop_chain_layouts;
+          Alcotest.test_case "dropout_mask allocation" `Quick
+            test_dropout_mask_allocation;
+          Alcotest.test_case "fused chain allocation" `Quick
+            test_chain_allocation;
         ] );
       ( "reduction kernels",
         [ q prop_softmax_masked_layouts; q prop_layernorm_layouts ] );

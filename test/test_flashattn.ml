@@ -193,6 +193,87 @@ let test_dropout_bitwise () =
   check_bool "dropout online close" true
     (Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want got2)
 
+(* ---------------- micro-kernel tails ---------------- *)
+
+(* Shapes that leave every micro-kernel a remainder: odd feature counts
+   (a lone last column / feature), L not a multiple of the 4-row block,
+   causal rows outrunning the block's common key prefix, ragged slots and
+   dropout on, with Q tiles that split row blocks. *)
+let tail_cases =
+  [ (5, 3, 23, 7); (5, 3, 30, 4); (3, 5, 9, 5); (1, 1, 6, 6); (7, 2, 17, 32) ]
+
+let tail_inputs (np, nw, l, _) =
+  let nh = 2 and nb = 3 in
+  let prng = Prng.create (Int64.of_int ((np * 1009) + (nw * 31) + l)) in
+  let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj:l ~nk:l in
+  let valid = [| l; max 1 (l - 3); max 1 ((l / 2) + 1) |] in
+  let dims = dims_beta ~nh ~nb ~nj:l ~nk:l in
+  let dropout = { Flashattn.p = 0.3; seed = 8L; key = "attn_dropout"; dims } in
+  let d_out = shuffled_rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", l) ] in
+  (qt, kt, vt, valid, dropout, d_out, prng)
+
+let test_exact_tails () =
+  List.iter
+    (fun ((np, nw, l, q_tile) as case) ->
+      let qt, kt, vt, valid, dropout, _, _ = tail_inputs case in
+      let prescale = 1.0 /. sqrt (float_of_int np) in
+      let dropmask =
+        E.dropout_mask ~seed:dropout.Flashattn.seed ~name:dropout.key
+          dropout.dims ~p:dropout.p
+      in
+      let _, _, want =
+        oracle ~causal:true ~valid ~dropmask ~prescale ~qt ~kt ~vt ~nj:l ~nk:l
+          ()
+      in
+      let got, _ =
+        Flashattn.forward ~q_tile ~kv_tile:l ~causal:true ~valid ~dropout
+          ~stats:false ~prescale ~q:qt ~k:kt ~v:vt ()
+      in
+      check_bool
+        (Printf.sprintf "p=%d w=%d L=%d q_tile=%d: exact bitwise" np nw l q_tile)
+        true (bitwise want got);
+      let online, _ =
+        Flashattn.forward ~q_tile ~kv_tile:5 ~causal:true ~valid ~dropout
+          ~stats:false ~prescale ~q:qt ~k:kt ~v:vt ()
+      in
+      check_bool
+        (Printf.sprintf "p=%d w=%d L=%d: online close" np nw l)
+        true
+        (Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want online))
+    tail_cases
+
+let test_backward_tails () =
+  List.iter
+    (fun ((np, nw, l, _) as case) ->
+      let qt, kt, vt, valid, dropout, d_out, _ = tail_inputs case in
+      let prescale = 1.0 /. sqrt (float_of_int np) in
+      let dropmask =
+        E.dropout_mask ~seed:dropout.Flashattn.seed ~name:dropout.key
+          dropout.dims ~p:dropout.p
+      in
+      let alpha_sm, alpha, _ =
+        oracle ~causal:true ~valid ~dropmask ~prescale ~qt ~kt ~vt ~nj:l ~nk:l
+          ()
+      in
+      let wq, wk, wv =
+        oracle_grads ~dropmask ~prescale ~qt ~kt ~vt ~alpha_sm ~alpha ~d_out ()
+      in
+      let run () =
+        Flashattn.backward ~causal:true ~valid ~dropout ~prescale ~q:qt ~k:kt
+          ~v:vt ~d_out ()
+      in
+      let q1, k1, v1 = Pool.with_domains 1 run in
+      let q4, k4, v4 = Pool.with_domains 4 run in
+      let name = Printf.sprintf "p=%d w=%d L=%d" np nw l in
+      check_bool (name ^ ": dq serial == parallel") true (bitwise q1 q4);
+      check_bool (name ^ ": dk serial == parallel") true (bitwise k1 k4);
+      check_bool (name ^ ": dv serial == parallel") true (bitwise v1 v4);
+      check_bool (name ^ ": grads close to the oracle") true
+        (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wq q1
+        && Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wk k1
+        && Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wv v1))
+    tail_cases
+
 (* ---------------- logsumexp stats ---------------- *)
 
 let test_lse_roundtrip () =
@@ -413,6 +494,13 @@ let () =
         ] );
       ( "dropout",
         [ Alcotest.test_case "counter-based mask" `Quick test_dropout_bitwise ] );
+      ( "micro-kernel tails",
+        [
+          Alcotest.test_case "exact forward == naive chain" `Quick
+            test_exact_tails;
+          Alcotest.test_case "backward serial == parallel" `Quick
+            test_backward_tails;
+        ] );
       ( "backward",
         [
           q prop_backward_close;

@@ -123,6 +123,102 @@ let test_prng_bernoulli () =
   let rate = float_of_int !hits /. float_of_int n in
   check_bool "p ~ 0.1" true (Float.abs (rate -. 0.1) < 0.02)
 
+(* The draw formula before the conversion avoided its C call: the top 53
+   bits through [Int64.to_float]. *)
+let reference_draw z =
+  Int64.to_float (Int64.shift_right_logical z 11) *. (1.0 /. 9007199254740992.0)
+
+let bits = Int64.bits_of_float
+
+let test_prng_conversion_bitwise () =
+  let n = 100_000 in
+  let walk = Prng.create 0x5EEDL and raw = Prng.create 0x5EEDL in
+  for i = 0 to n - 1 do
+    let want = reference_draw (Prng.next_int64 raw) in
+    if bits (Prng.float walk) <> bits want then
+      Alcotest.failf "float: draw %d differs from the Int64.to_float formula" i
+  done;
+  (* a mask entry is 0.0 exactly when the formula's draw is below p, at
+     thresholds sitting right on drawn values *)
+  let t = Prng.create 0x5EEDL and raw = Prng.create 0x5EEDL in
+  let draws = Array.init 64 (fun _ -> reference_draw (Prng.next_int64 raw)) in
+  let m = Array.make 64 nan in
+  Array.iter
+    (fun p ->
+      Prng.fill_mask t ~p ~scale:2.0 ~first:0 m ~off:0 ~len:64;
+      Array.iteri
+        (fun i d ->
+          if m.(i) <> (if d < p then 0.0 else 2.0) then
+            Alcotest.failf "fill_mask: draw %d against p = %h" i p)
+        draws)
+    draws
+
+let test_prng_fill_mask_is_bernoulli_walk () =
+  let n = 100_000 and p = 0.3 in
+  let scale = 1.0 /. (1.0 -. p) in
+  let t = Prng.of_key 42L "dropout" in
+  let walk = Prng.of_key 42L "dropout" in
+  let want =
+    Array.init n (fun _ -> if Prng.bernoulli walk ~p then 0.0 else scale)
+  in
+  let got = Array.make n nan in
+  Prng.fill_mask t ~p ~scale ~first:0 got ~off:0 ~len:n;
+  check_bool "whole stream equals the sequential bernoulli walk" true
+    (Array.for_all2 (fun a b -> bits a = bits b) want got);
+  (* any window, written at any offset, is the same stream slice *)
+  let first = 12_345 and len = 777 and off = 5 in
+  let dst = Array.make (off + len + 3) nan in
+  Prng.fill_mask t ~p ~scale ~first dst ~off ~len;
+  check_bool "window equals the walk's slice" true
+    (Array.for_all2 (fun a b -> bits a = bits b)
+       (Array.sub want first len) (Array.sub dst off len));
+  check_bool "outside the window untouched" true
+    (Float.is_nan dst.(off - 1) && Float.is_nan dst.(off + len));
+  check_bool "fill_mask does not advance the generator" true
+    (Prng.state t = Prng.state (Prng.of_key 42L "dropout"));
+  check_bool "a range outside the buffer is refused" true
+    (try
+       Prng.fill_mask t ~p ~scale ~first:0 dst ~off:1 ~len:(Array.length dst);
+       false
+     with Invalid_argument _ -> true)
+
+(* ---------------- Fmax ---------------- *)
+
+let test_fmax_specials () =
+  let nan_pos = Int64.float_of_bits 0x7FF8000000000001L in
+  let nan_neg = Int64.float_of_bits 0xFFF8000000000002L in
+  let specials =
+    [ 0.0; -0.0; infinity; neg_infinity; nan; nan_pos; nan_neg; 1.5; -1.5;
+      min_float; -.min_float; max_float; -.max_float; 4.9e-324 ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if bits (Fmax.max a b) <> bits (Float.max a b) then
+            Alcotest.failf "max %h %h: %h, Float.max gives %h" a b
+              (Fmax.max a b) (Float.max a b))
+        specials)
+    specials;
+  let prng = Prng.create 17L in
+  for _ = 1 to 100_000 do
+    (* small integers collide often, so equal pairs are common too *)
+    let a = Float.of_int (Prng.int prng ~bound:9 - 4) *. Prng.float prng in
+    let b = if Prng.int prng ~bound:4 = 0 then a else Prng.gaussian prng in
+    if bits (Fmax.max a b) <> bits (Float.max a b) then
+      Alcotest.failf "max %h %h differs from Float.max" a b
+  done
+
+let test_fmax_fold_relu () =
+  let a = [| 3.0; -0.0; nan; 0.0; -7.0; 2.0; infinity |] in
+  let want = Array.fold_left Float.max neg_infinity (Array.sub a 1 4) in
+  check_bool "fold over a window is Float.max's fold" true
+    (bits (Fmax.fold neg_infinity a ~off:1 ~len:4) = bits want);
+  let r = Array.copy a in
+  Fmax.relu r ~off:0 ~len:(Array.length r);
+  check_bool "relu is Float.max 0.0, element by element" true
+    (Array.for_all2 (fun x y -> bits (Float.max 0.0 x) = bits y) a r)
+
 (* ---------------- Half ---------------- *)
 
 let test_half_landmarks () =
@@ -419,6 +515,16 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian;
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli;
+          Alcotest.test_case "draws equal the Int64.to_float formula" `Quick
+            test_prng_conversion_bitwise;
+          Alcotest.test_case "fill_mask equals the bernoulli walk" `Quick
+            test_prng_fill_mask_is_bernoulli_walk;
+        ] );
+      ( "fmax",
+        [
+          Alcotest.test_case "max equals Float.max bitwise" `Quick
+            test_fmax_specials;
+          Alcotest.test_case "fold and relu" `Quick test_fmax_fold_relu;
         ] );
       ( "half",
         [
