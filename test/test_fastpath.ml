@@ -383,7 +383,7 @@ let () =
           Alcotest.test_case "dropout masks bitwise" `Quick
             test_dropout_masks_bitwise;
         ] );
-      ( "element-wise chains",
+      ( "element-wise",
         [
           q prop_chain_layouts;
           Alcotest.test_case "dropout_mask allocation" `Quick

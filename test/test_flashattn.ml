@@ -494,7 +494,7 @@ let () =
         ] );
       ( "dropout",
         [ Alcotest.test_case "counter-based mask" `Quick test_dropout_bitwise ] );
-      ( "micro-kernel tails",
+      ( "tails",
         [
           Alcotest.test_case "exact forward == naive chain" `Quick
             test_exact_tails;
